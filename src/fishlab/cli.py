@@ -15,11 +15,39 @@ from . import dyck, fishburn, hat, series, verify
 
 DEFAULT_MAX_N = 12
 
+# bound on table_cost: table_cost(500, 5), the --n-max 500 --d-max 5 table
+TABLE_MAX_COST = 4_500_000
+
 REPORT_KEYS = ("check", "n", "d", "expected", "actual", "pass")
 
 
+class UsageError(Exception):
+    """A bad invocation: the command prints the message and exits 2."""
+
+
 def max_n() -> int:
-    return int(os.environ.get("FISHLAB_MAX_N", DEFAULT_MAX_N))
+    raw = os.environ.get("FISHLAB_MAX_N", str(DEFAULT_MAX_N))
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"FISHLAB_MAX_N must be an integer, got {raw!r}") from None
+
+
+def _require_nonnegative(**values) -> None:
+    for name, value in values.items():
+        if value is not None and value < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
+
+
+def _usage_errors(cmd):
+    """Run cmd, turning a UsageError into one line on stderr and exit 2."""
+    def run(args, out) -> int:
+        try:
+            return cmd(args, out)
+        except UsageError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+    return run
 
 
 def serialize_seq(w) -> str:
@@ -52,13 +80,13 @@ def _families(n, d):
     }
 
 
+@_usage_errors
 def cmd_enumerate(args, out) -> int:
+    _require_nonnegative(n=args.n, d=args.d)
     if args.n > max_n():
-        print(f"n exceeds the configured maximum {max_n()}", file=sys.stderr)
-        return 2
+        raise UsageError(f"n exceeds the configured maximum {max_n()}")
     if args.family in ("dasc", "modasc", "fishburn") and args.d is None:
-        print(f"--d is required for family {args.family}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--d is required for family {args.family}")
     for w in _families(args.n, args.d)[args.family]():
         print(serialize_seq(w), file=out)
     return 0
@@ -83,18 +111,34 @@ def _print_reports(reports, out):
     return failed
 
 
+@_usage_errors
 def cmd_verify(args, out) -> int:
+    _require_nonnegative(n_max=args.n_max, d_max=args.d_max)
     if args.n_max > max_n():
-        print(f"--n-max exceeds the configured maximum {max_n()}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--n-max exceeds the configured maximum {max_n()}")
     reports = verify.run_suite(args.suite, args.n_max, args.d_max)
     return 1 if _print_reports(reports, out) else 0
 
 
+def table_cost(n_max: int, d_max: int) -> int:
+    """Coefficient products the series engine spends on a table: the sum
+    over d <= d_max of max(2, d) * n_max^2, in closed form."""
+    per_square = 2 * (d_max + 1) if d_max < 3 else d_max * (d_max + 1) // 2 + 3
+    return per_square * n_max**2
+
+
+@_usage_errors
 def cmd_table(args, out) -> int:
-    if args.n_max > (9 if args.cross_check else 12) or args.n_max > max_n():
-        print("--n-max too large for this mode", file=sys.stderr)
-        return 2
+    _require_nonnegative(n_max=args.n_max, d_max=args.d_max)
+    # the cross-check enumerates, so it keeps the enumeration caps
+    if args.cross_check and (args.n_max > 9 or args.n_max > max_n()):
+        raise UsageError("--n-max too large for this mode")
+    cost = table_cost(args.n_max, args.d_max)
+    if cost > TABLE_MAX_COST:
+        raise UsageError(
+            f"--n-max and --d-max too large: the table would cost {cost} "
+            f"coefficient products, the limit is {TABLE_MAX_COST}"
+        )
     rows = []
     for d in range(args.d_max + 1):
         coeffs = series.series_Q(d, -1, args.n_max).coeffs
@@ -125,10 +169,11 @@ def cmd_table(args, out) -> int:
     return 0
 
 
+@_usage_errors
 def cmd_explore(args, out) -> int:
+    _require_nonnegative(n_max=args.n_max)
     if args.n_max > min(8, max_n()):
-        print("--n-max too large for conjecture exploration", file=sys.stderr)
-        return 2
+        raise UsageError("--n-max too large for conjecture exploration")
     _print_reports(verify.explore_conjectures(args.n_max), out)
     return 0
 

@@ -7,7 +7,7 @@ from .sequences import is_d_ascent_seq
 
 
 def check_perm(p) -> None:
-    if set(p) != set(range(1, len(p) + 1)):
+    if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of [{len(p)}]: {p}")
 
 
@@ -36,6 +36,7 @@ def _ascent_bottoms(p):
 
 def is_d_fishburn(p, d: int) -> bool:
     """True iff every ascent bottom of p is a d-active element."""
+    check_perm(p)
     return _ascent_bottoms(p) <= d_active_elements(p, d)
 
 

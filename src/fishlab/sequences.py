@@ -8,8 +8,6 @@ ascent (and a d-ascent).
 
 from itertools import combinations, product
 
-Seq = tuple
-
 
 def asc_set(w) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1}."""
@@ -62,8 +60,8 @@ def is_cayley(w) -> bool:
 
 
 def is_inversion(w) -> bool:
-    """True iff a_i <= i for every position i."""
-    return all(a <= i for i, a in enumerate(w, 1))
+    """True iff 1 <= a_i <= i for every position i."""
+    return all(1 <= a <= i for i, a in enumerate(w, 1))
 
 
 def is_d_ascent_seq(w, d: int) -> bool:

@@ -1,10 +1,17 @@
-"""Truncated univariate power series over exact rationals.
+"""Truncated univariate power series over exact rationals, and the
+series of Dyck paths with marked DDU^(d+1) factors.
 
-Coefficients are fractions.Fraction; all arithmetic is exact modulo
-x^(order+1).  No floating point anywhere.
+TruncSeries holds fractions.Fraction coefficients; all arithmetic is exact
+modulo x^(order+1).  No floating point anywhere.
+
+solve_P and series_Q read the coefficients of the marked-path equation off
+one at a time on plain lists, about max(2, d) N^2 coefficient products for
+N = order, in int when q is an integer and Fraction otherwise; the result
+is wrapped in a TruncSeries at the end.
 """
 
 from fractions import Fraction
+from operator import mul
 
 
 class TruncSeries:
@@ -95,30 +102,70 @@ class TruncSeries:
         return TruncSeries(out, n)
 
 
-def _p_step(p: TruncSeries, d: int, q: Fraction, x: TruncSeries) -> TruncSeries:
-    # d >= 1: the marked step contributes U' P (D P)^(d-1), whose image
-    # is q x^(d+1) P^d; checked against brute-force factor counts
-    if d == 0:
-        return 1 + x * p * p + q * (x ** 2) * p * p
-    return 1 + x * p * p + q * (x ** (d + 1)) * p ** d
+def _product(a, b, order: int) -> list:
+    """Coefficients 0..order of a*b; both lists hold at least order+1 terms."""
+    return [sum(map(mul, a[: m + 1], b[m::-1])) for m in range(order + 1)]
 
 
-def solve_P(d: int, q_value, order: int) -> TruncSeries:
-    """Unique fixed point with constant term 1 of the marked-path equation.
+def _inv_one_minus_x(s, order: int) -> list:
+    """Coefficients of 1/(1 - x*s): r_0 = 1 and r_m = sum_i s_i r_(m-1-i)."""
+    r = [1]
+    for m in range(1, order + 1):
+        r.append(sum(map(mul, s[:m], r[::-1])))
+    return r
 
-    Iteration from the constant series 1 gains at least one correct
-    coefficient per pass; the result is checked by substitution.
+
+def _solve(d: int, q_value, order: int) -> list:
+    """Coefficients of P = 1 + xP^2 + q x^e P^k, read off one at a time.
+
+    p_n = [x^(n-1)]P^2 + q [x^(n-e)]P^k only uses p_0 .. p_(n-1), so one
+    pass gives every coefficient; the powers P^1 .. P^max(2, k) are kept
+    up to date as each p_n lands.  The result is checked by substitution.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     q = Fraction(q_value)
-    x = TruncSeries.x(order)
-    p = TruncSeries.constant(1, order)
-    for _ in range(order + 1):
-        p = _p_step(p, d, q, x)
-    if p != _p_step(p, d, q, x):
-        raise ArithmeticError("fixed-point iteration did not converge")
+    ring = int if q.denominator == 1 else Fraction
+    q = ring(q)
+    # for d >= 1 the marked step contributes U' P (D P)^(d-1), whose image
+    # is q x^(d+1) P^d; checked against brute-force factor counts
+    e, k = (2, 2) if d == 0 else (d + 1, d)
+    # P^2 is read up to x^(order-1) and the powers above it up to
+    # x^(order-e); powers that no index reaches are not built
+    top = max(2, k) if order >= e else 2
+    limits = [order, order - 1] + [order - e] * (top - 2)
+    powers = [[] for _ in range(top)]  # powers[j - 1] holds P^j
+    p = powers[0]
+    for n in range(order + 1):
+        p_n = ring(1) if n == 0 else powers[1][n - 1]
+        if n >= e:
+            p_n += q * powers[k - 1][n - e]
+        p.append(p_n)
+        for j in range(1, top):
+            if n > limits[j]:
+                break
+            powers[j].append(sum(map(mul, p, powers[j - 1][::-1])))
+
+    # substitution check, with the powers rebuilt by plain multiplication
+    square = _product(p, p, order)
+    power_k = p if k == 1 else square
+    for _ in range(k - 2):
+        power_k = _product(power_k, p, order)
+    rhs = [ring(1)] + square[:order]
+    for n in range(e, order + 1):
+        rhs[n] += q * power_k[n - e]
+    if rhs != p:
+        raise ArithmeticError("coefficients do not satisfy the functional equation")
     return p
+
+
+def solve_P(d: int, q_value, order: int) -> TruncSeries:
+    """Unique solution with constant term 1 of the marked-path equation
+    P = 1 + xP^2 + q x^(d+1) P^d (q x^2 P^2 in place of the last term when
+    d = 0), checked by substitution."""
+    return TruncSeries(_solve(d, q_value, order), order)
 
 
 def series_Q(d: int, q_value, order: int) -> TruncSeries:
@@ -127,8 +174,7 @@ def series_Q(d: int, q_value, order: int) -> TruncSeries:
     The coefficient of x^n in series_Q(d, q-1, N) is the sum of
     q^(number of factors) over Dyck paths of semilength n.
     """
-    p = solve_P(d, q_value, order)
-    x = TruncSeries.x(order)
-    if d == 0:
-        return (1 - x * p).reciprocal()
-    return (1 - x * (1 - x * p).reciprocal()).reciprocal()
+    r = _inv_one_minus_x(_solve(d, q_value, order), order)
+    if d > 0:
+        r = _inv_one_minus_x(r, order)
+    return TruncSeries(r, order)

@@ -139,3 +139,34 @@ def test_enumerate_fishburn_count_is_fishburn_number():
     assert code == 0
     assert len(text.splitlines()) == 53
     assert math.factorial(5) > 53
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["table", "--n-max", "-1"], None),
+    (["table", "--d-max", "-2"], None),
+    (["table", "--n-max", "501", "--d-max", "5"], None),
+    (["table", "--n-max", "1", "--d-max", "10000000000"], None),
+    (["verify", "--suite", "series", "--n-max", "-1"], None),
+    (["enumerate", "--family", "dasc", "--n", "-1", "--d", "0"], None),
+    (["verify", "--suite", "series"], "abc"),
+    (["enumerate", "--family", "modinv", "--n", "3"], "abc"),
+])
+def test_usage_errors_exit_2_with_one_line(argv, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("FISHLAB_MAX_N", env)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_table_cap_bounds_cost_not_n(monkeypatch):
+    # the table costs about sum over d of max(2, d) n^2 coefficient
+    # products; the enumeration cap does not apply without --cross-check
+    monkeypatch.setenv("FISHLAB_MAX_N", "4")
+    code, text = run(["table", "--n-max", "40", "--d-max", "5", "--format", "csv"])
+    assert code == 0
+    assert len(text.splitlines()) == 1 + 6 * 41
+    assert cli.table_cost(500, 5) <= cli.TABLE_MAX_COST < cli.table_cost(501, 5)
+    for d_max in range(8):
+        assert cli.table_cost(7, d_max) == sum(max(2, d) * 49 for d in range(d_max + 1))

@@ -123,6 +123,12 @@ def test_phi_d_parent_recovers_insertion():
                 assert parent == rebuilt
 
 
+def test_is_d_fishburn_rejects_non_permutations():
+    for p in ((1, 1), (5,), (0, 1), (2, 3)):
+        with pytest.raises(ValueError):
+            fishburn.is_d_fishburn(p, 0)
+
+
 def test_phi_d_parent_rejects_non_member():
     with pytest.raises(ValueError):
         fishburn.phi_d_parent((2, 3, 1), 0)

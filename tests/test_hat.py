@@ -30,6 +30,11 @@ def test_hat_worked_examples():
     assert hat.hat_d(word, 1) == image
 
 
+def test_hat_inv_rejects_zero_entries():
+    with pytest.raises(ValueError):
+        hat.hat_inv((0,))
+
+
 def test_hat_rejects_non_member():
     with pytest.raises(ValueError):
         hat.hat_d((1, 1, 3), 0)

@@ -102,6 +102,14 @@ def test_is_inversion_examples():
     assert seqs.is_inversion((1, 2, 3))
 
 
+def test_is_inversion_requires_positive_entries():
+    assert not seqs.is_inversion((0, 0))
+    assert not seqs.is_inversion((-3,))
+    assert not seqs.is_inversion((1, 0, 2))
+    with pytest.raises(ValueError):
+        seqs.min_d((0, 0))
+
+
 def test_is_d_ascent_seq_examples():
     found = {w for w in all_words(3) if seqs.is_d_ascent_seq(w, 0)}
     assert found == {(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)}

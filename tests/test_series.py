@@ -1,15 +1,49 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishlab import dyck, fixtures
+from fishlab import cli, dyck, fixtures
 from fishlab.series import TruncSeries, series_Q, solve_P
 
 
 def poly(coeffs, order=8):
     return TruncSeries(coeffs, order)
+
+
+def reference_step(p, d, q, x):
+    if d == 0:
+        return 1 + x * p * p + q * (x ** 2) * p * p
+    return 1 + x * p * p + q * (x ** (d + 1)) * p ** d
+
+
+def reference_solve_P(d, q_value, order):
+    """Fixed-point iteration from the constant series 1, on TruncSeries:
+    each of the order+1 passes gains at least one correct coefficient."""
+    q = Fraction(q_value)
+    x = TruncSeries.x(order)
+    p = TruncSeries.constant(1, order)
+    for _ in range(order + 1):
+        p = reference_step(p, d, q, x)
+    assert p == reference_step(p, d, q, x)
+    return p
+
+
+def reference_series_Q(d, q_value, order):
+    p = reference_solve_P(d, q_value, order)
+    x = TruncSeries.x(order)
+    if d == 0:
+        return (1 - x * p).reciprocal()
+    return (1 - x * (1 - x * p).reciprocal()).reciprocal()
+
+
+def int_product(a, b, order):
+    a = a + [0] * (order + 1 - len(a))
+    b = b + [0] * (order + 1 - len(b))
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(order + 1)]
 
 
 series_strategy = st.lists(
@@ -108,3 +142,43 @@ def test_series_against_brute_force_distribution():
 def test_solve_P_rejects_negative_d():
     with pytest.raises(ValueError):
         solve_P(-1, 0, 5)
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_engine_matches_fixed_point_reference(d):
+    for q in (-1, 0, 2, Fraction(1, 2), Fraction(-3, 7)):
+        for order in (0, 1, 2, 3, 7, 20):
+            assert solve_P(d, q, order) == reference_solve_P(d, q, order)
+            assert series_Q(d, q, order) == reference_series_Q(d, q, order)
+
+
+def test_solve_P_rejects_negative_order():
+    with pytest.raises(ValueError):
+        solve_P(1, -1, -1)
+    with pytest.raises(ValueError):
+        series_Q(1, -1, -1)
+
+
+@pytest.mark.parametrize("d, g, h", [
+    (1, [1, -2, 1], [1, -4, 2, 0, 1]),
+    (2, [1, -2, 2], [1, -4, 0, 4]),
+])
+def test_algebraic_residual_at_large_order(d, g, h):
+    # (2(1-x) - gQ)^2 = hQ^2, on integer lists, far past the fixture table
+    order = 300
+    q = [int(c) for c in series_Q(d, -1, order).coeffs]
+    two_one_minus_x = [2, -2] + [0] * (order - 1)
+    base = [a - b for a, b in zip(two_one_minus_x, int_product(g, q, order))]
+    assert int_product(base, base, order) == int_product(
+        h, int_product(q, q, order), order)
+
+
+def test_cli_table_reproduces_fixture():
+    out = io.StringIO()
+    args = cli.build_parser().parse_args(["table", "--n-max", "12", "--d-max", "5"])
+    assert args.func(args, out) == 0
+    rows = [json.loads(line) for line in out.getvalue().splitlines()]
+    table = {}
+    for row in rows:
+        table.setdefault(row["d"], []).append(row["count"])
+    assert table == fixtures.TABLE_213
