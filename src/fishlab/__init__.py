@@ -15,6 +15,8 @@ from .fishburn import (
     contains_mesh_a,
     contains_sigma,
     d_active_elements,
+    enumerate_d_fishburn,
+    enumerate_subdiagonal,
     is_d_fishburn,
     phi_d,
     phi_d_parent,
@@ -35,6 +37,7 @@ from .sequences import (
     asc_set,
     contains_word_pattern,
     d_asc_set,
+    d_asc_thresholds,
     flat_steps,
     is_cayley,
     is_d_ascent_seq,

@@ -7,13 +7,19 @@ Output is deterministic: fixed sort orders, no timestamps in data rows.
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import dyck, fishburn, hat, series, verify
 
 DEFAULT_MAX_N = 12
+
+# bound on enumerate_cost: admits every family at n <= 8 for every d (at
+# most 8! = 40320 objects) and refuses modinv at n = 9 (9! objects)
+ENUMERATE_MAX_COST = 100_000
 
 # bound on table_cost: table_cost(500, 5), the --n-max 500 --d-max 5 table
 TABLE_MAX_COST = 4_500_000
@@ -66,18 +72,44 @@ def _families(n, d):
         "modasc": lambda: hat.enumerate_mod_d_asc(n, d),
         "modinv": lambda: hat.enumerate_modinv(n),
         "wdesc": lambda: hat.enumerate_weak_descent(n),
-        "fishburn": lambda: (
-            p for p in fishburn.enumerate_perms(n) if fishburn.is_d_fishburn(p, d)
-        ),
-        "irsub": lambda: (
-            p for p in fishburn.enumerate_perms(n)
-            if fishburn.subdiagonal(p, "increasing-runs")
-        ),
-        "drsub": lambda: (
-            p for p in fishburn.enumerate_perms(n)
-            if fishburn.subdiagonal(p, "decreasing-runs")
-        ),
+        "fishburn": lambda: fishburn.enumerate_d_fishburn(n, d),
+        "irsub": lambda: fishburn.enumerate_subdiagonal(n, "increasing-runs"),
+        "drsub": lambda: fishburn.enumerate_subdiagonal(n, "decreasing-runs"),
     }
+
+
+def _count_words(n: int, first: int, counts) -> int:
+    """Words of length n that start with 1 and whose every later letter is
+    at most one more than a statistic of the prefix before it: the first
+    letter counts `first`, and a letter b after a counts counts(a, b).
+    A DP on (statistic, last letter) that returns the count so far once it
+    passes ENUMERATE_MAX_COST."""
+    if n == 0:
+        return 1
+    level = Counter({(first, 1): 1})
+    for _ in range(n - 1):
+        if sum(level.values()) > ENUMERATE_MAX_COST:
+            break  # every word extends, so the count only grows with n
+        nxt = Counter()
+        for (k, a), mult in level.items():
+            for b in range(1, k + 2):
+                nxt[k + counts(a, b), b] += mult
+        level = nxt
+    return sum(level.values())
+
+
+def enumerate_cost(family: str, n: int, d: int) -> int:
+    """Objects `enumerate` examines: the n! inversion sequences whose orbits
+    make up modinv, and the members for every other family.  Members come
+    from d-ascent or weak-descent counts, through the bijections phi_d,
+    hat_d and hat_max; a count above ENUMERATE_MAX_COST may be cut short."""
+    if family == "modinv":
+        return math.factorial(n)
+    if family in ("wdesc", "drsub"):
+        return _count_words(n, 0, lambda a, b: b <= a)
+    if family == "irsub":
+        d = 0  # irsub is the hat_max image of the ascent sequences
+    return _count_words(n, 1, lambda a, b: b > a - d)
 
 
 @_usage_errors
@@ -87,6 +119,12 @@ def cmd_enumerate(args, out) -> int:
         raise UsageError(f"n exceeds the configured maximum {max_n()}")
     if args.family in ("dasc", "modasc", "fishburn") and args.d is None:
         raise UsageError(f"--d is required for family {args.family}")
+    cost = enumerate_cost(args.family, args.n, args.d or 0)
+    if cost > ENUMERATE_MAX_COST:
+        raise UsageError(
+            f"--n {args.n} too large for family {args.family}: it would examine "
+            f"{cost} or more objects, the limit is {ENUMERATE_MAX_COST}"
+        )
     for w in _families(args.n, args.d)[args.family]():
         print(serialize_seq(w), file=out)
     return 0
@@ -116,6 +154,8 @@ def cmd_verify(args, out) -> int:
     _require_nonnegative(n_max=args.n_max, d_max=args.d_max)
     if args.n_max > max_n():
         raise UsageError(f"--n-max exceeds the configured maximum {max_n()}")
+    if args.d_max > max_n():
+        raise UsageError(f"--d-max exceeds the configured maximum {max_n()}")
     reports = verify.run_suite(args.suite, args.n_max, args.d_max)
     return 1 if _print_reports(reports, out) else 0
 

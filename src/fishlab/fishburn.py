@@ -3,7 +3,9 @@ subdiagonal permutations."""
 
 from itertools import permutations
 
-from .sequences import is_d_ascent_seq
+from .sequences import check_d, is_d_ascent_seq
+
+SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
 
 
 def check_perm(p) -> None:
@@ -17,6 +19,7 @@ def d_active_elements(p, d: int) -> frozenset:
     k is inactive when it sits left of k-1 with at least d active values
     between them; values > k are invisible at step k.
     """
+    check_d(d)
     pos = {v: i for i, v in enumerate(p)}
     active = set()
     for k in range(1, len(p) + 1):
@@ -36,6 +39,7 @@ def _ascent_bottoms(p):
 
 def is_d_fishburn(p, d: int) -> bool:
     """True iff every ascent bottom of p is a d-active element."""
+    check_d(d)
     check_perm(p)
     return _ascent_bottoms(p) <= d_active_elements(p, d)
 
@@ -105,16 +109,68 @@ def active_site_gaps(p, d: int) -> tuple:
     return (0,) + tuple(i + 1 for i, v in enumerate(p) if v in active)
 
 
+def _gaps(flags) -> list:
+    """active_site_gaps, from the activity flags of the entries of p."""
+    return [0] + [i + 1 for i, active in enumerate(flags) if active]
+
+
+def _max_is_active(flags, gap, below, d) -> bool:
+    """Whether a new maximum m inserted at gap is d-active, where below is
+    the index of m - 1 (-1 when there is none).  The values under m keep their activity, so
+    only the sweep's last step is left: m is active iff it lands right of
+    m - 1, or fewer than d active values sit between them."""
+    return gap > below or sum(flags[gap:below]) < d
+
+
 def phi_d(w, d: int) -> tuple:
     """Build a permutation by inserting each new maximum into the active
-    site labeled by the corresponding letter of w."""
+    site labeled by the corresponding letter of w.
+
+    The activity of the entries is kept up to date across insertions, so
+    each insertion costs O(n).
+    """
+    check_d(d)
     if not is_d_ascent_seq(w, d):
         raise ValueError(f"not a {d}-ascent sequence: {w}")
-    p = []
+    p, flags = [], []
     for m, a in enumerate(w, 1):
-        gaps = active_site_gaps(tuple(p), d)
-        p.insert(gaps[a - 1], m)
+        gap = _gaps(flags)[a - 1]
+        active = _max_is_active(flags, gap, p.index(m - 1) if p else -1, d)
+        p.insert(gap, m)
+        flags.insert(gap, active)
     return tuple(p)
+
+
+def enumerate_d_fishburn(n: int, d: int) -> list:
+    """All d-Fishburn permutations of [n], as a sorted list.
+
+    A depth-first search over the phi_d generating tree: a node is a
+    permutation with the activity of its entries, and its children insert
+    the next maximum into each of its active sites.  Only members are
+    visited, at O(n) per node plus O(n) per child; the leaves are
+    collected and sorted into lexicographic order.
+    """
+    check_d(d)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return [()]
+    out = []
+
+    def grow(p, flags):
+        gaps = _gaps(flags)
+        m = len(p) + 1
+        if m == n:
+            out.extend(p[:g] + (m,) + p[g:] for g in gaps)
+            return
+        below = p.index(m - 1) if p else -1
+        for g in gaps:
+            active = _max_is_active(flags, g, below, d)
+            grow(p[:g] + (m,) + p[g:], flags[:g] + (active,) + flags[g:])
+
+    grow((), ())
+    out.sort()
+    return out
 
 
 def phi_d_parent(p, d: int):
@@ -147,11 +203,57 @@ def _runs(p, increasing: bool):
 def subdiagonal(p, mode: str) -> bool:
     """Decompose p into maximal increasing or decreasing runs and require
     every entry of block i to be at most n + 1 - i."""
-    if mode not in ("increasing-runs", "decreasing-runs"):
+    if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
     n = len(p)
     blocks = _runs(p, increasing=(mode == "increasing-runs"))
     return all(c <= n + 1 - i for i, blk in enumerate(blocks, 1) for c in blk)
+
+
+def enumerate_subdiagonal(n: int, mode: str):
+    """The permutations of [n] that subdiagonal(p, mode) accepts, in
+    lexicographic order, as a generator.
+
+    A depth-first search that places the unused values left to right,
+    smallest first, and tracks the index b of the run block the last value
+    sits in.  A value is refused when it exceeds n + 1 - b for its block b,
+    or when the values left could then no longer all be placed.  So every
+    branch ends in a member, the search costs O(n) per prefix of a member,
+    and its order is already lexicographic: the members stream out with no
+    sort.
+    """
+    if mode not in SUBDIAGONAL_MODES:
+        raise ValueError(f"unknown mode: {mode}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return iter([()])
+    increasing = mode == "increasing-runs"
+    used = [False] * (n + 1)
+
+    def grow(prefix, block, top):
+        # top is the largest unused value
+        if len(prefix) == n - 1:
+            yield prefix + (top,)
+            return
+        # a sentinel that no first value continues the run of
+        last = prefix[-1] if prefix else (n + 1 if increasing else 0)
+        below = 0  # the largest unused value below v
+        for v in range(1, top + 1):
+            if used[v]:
+                continue
+            b = block if (last < v if increasing else last > v) else block + 1
+            # the values left can follow v in two runs: those that continue
+            # v's run, then the rest in block b + 1.  Only top may not fit,
+            # and it continues v's run only if the runs increase
+            room = n + 1 - b if increasing else n - b
+            if v <= n + 1 - b and (v == top or top <= room):
+                used[v] = True
+                yield from grow(prefix + (v,), b, below if v == top else top)
+                used[v] = False
+            below = v
+
+    return grow((), 0, n)
 
 
 def enumerate_perms(n: int):

@@ -6,11 +6,12 @@ d-ascent sets, so the list must not be recomputed mid-fold.
 """
 
 from .sequences import (
+    check_d,
     d_asc_set,
+    d_asc_thresholds,
     enumerate_inversion,
     is_d_ascent_seq,
     is_inversion,
-    min_d,
     nub,
 )
 
@@ -25,6 +26,7 @@ def modify(w, j: int) -> tuple:
 
 def hat_d(w, d: int) -> tuple:
     """Fold modify over the d-ascent list of w, left to right."""
+    check_d(d)
     if not is_d_ascent_seq(w, d):
         raise ValueError(f"not a {d}-ascent sequence: {w}")
     out = tuple(w)
@@ -65,24 +67,47 @@ def hat_inv(g) -> tuple:
     return result
 
 
-def h_orbit(w):
-    """All distinct hats of an inversion sequence, as pairs (least d, image).
+def _fold(w, positions) -> tuple:
+    """modify folded over the positions, left to right, on one list and
+    with no range checks."""
+    out = list(w)
+    for j in positions:
+        aj = out[j - 1]
+        for i in range(j - 1):
+            if out[i] >= aj:
+                out[i] += 1
+    return tuple(out)
 
-    The orbit runs over d from min_d(w) to len(w) and stabilizes from
-    d = len(w) - 1 on.
+
+def _orbit(w) -> list:
+    """h_orbit of an inversion sequence w, unchecked."""
+    # the image is a function of the d-ascent set, which changes only at a
+    # threshold, and its nub is that set: one fold per threshold from
+    # min_d(w) on gives each image once, at its least d
+    orbit = []
+    for d in d_asc_thresholds(w):
+        if orbit or is_d_ascent_seq(w, d):
+            orbit.append((d, _fold(w, d_asc_set(w, d))))
+    return orbit
+
+
+def h_orbit(w):
+    """All distinct hats of an inversion sequence, as pairs (least d, image)
+    by increasing d.
+
+    The orbit runs over d from min_d(w) on and stabilizes from
+    d = len(w) - 1 on.  One fold per distinct d-ascent set, each O(n^2),
+    and at most len(w) of them.
     """
     if not is_inversion(w):
         raise ValueError(f"not an inversion sequence: {w}")
-    seen = {}
-    for d in range(min_d(w), len(w) + 1):
-        image = hat_d(w, d)
-        if image not in seen:
-            seen[image] = d
-    return tuple((d, image) for image, d in seen.items())
+    return tuple(_orbit(w))
 
 
 def enumerate_d_asc(n: int, d: int):
     """All d-ascent sequences of length n, in lexicographic order."""
+    check_d(d)
+
     def grow(prefix, dasc):
         if len(prefix) == n:
             yield prefix
@@ -91,7 +116,8 @@ def enumerate_d_asc(n: int, d: int):
             is_dasc = not prefix or a > prefix[-1] - d
             yield from grow(prefix + (a,), dasc + (1 if is_dasc else 0))
 
-    yield from grow((), 0)
+    # returned, not yielded from, so that a bad d raises at the call
+    return grow((), 0)
 
 
 def enumerate_mod_d_asc(n: int, d: int):
@@ -101,6 +127,7 @@ def enumerate_mod_d_asc(n: int, d: int):
     append b - d < a <= 1 + max after lifting the entries >= a.  The
     d-ascent sequences themselves are never consulted.
     """
+    check_d(d)
     if n == 0:
         return [()]
     level = [(1,)]
@@ -129,10 +156,13 @@ def enumerate_weak_descent(n: int):
     yield from grow((), 0)
 
 
-def enumerate_modinv(n: int):
-    """All modified inversion sequences of length n: the union of all orbits."""
-    out = set()
-    for w in enumerate_inversion(n):
-        for _, image in h_orbit(w):
-            out.add(image)
-    return sorted(out)
+def enumerate_modinv(n: int) -> list:
+    """All modified inversion sequences of length n, as a sorted list: the
+    union of the hat orbits of the n! inversion sequences.
+
+    The orbits are disjoint and each lists an image once, so every image is
+    computed once, by one O(n^2) fold; at most n per inversion sequence.
+    """
+    out = [image for w in enumerate_inversion(n) for _, image in _orbit(w)]
+    out.sort()
+    return out

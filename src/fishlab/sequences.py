@@ -9,6 +9,12 @@ ascent (and a d-ascent).
 from itertools import combinations, product
 
 
+def check_d(d) -> None:
+    """Raise ValueError unless d is a nonnegative integer."""
+    if not isinstance(d, int) or d < 0:
+        raise ValueError(f"d must be a nonnegative integer, got {d!r}")
+
+
 def asc_set(w) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1}."""
     return tuple(i for i in range(1, len(w) + 1) if i == 1 or w[i - 1] > w[i - 2])
@@ -17,6 +23,13 @@ def asc_set(w) -> tuple:
 def d_asc_set(w, d: int) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1} - d."""
     return tuple(i for i in range(1, len(w) + 1) if i == 1 or w[i - 1] > w[i - 2] - d)
+
+
+def d_asc_thresholds(w) -> tuple:
+    """The d >= 0 at which the d-ascent set of w can change, increasing,
+    0 first: position i >= 2 is a d-ascent iff d >= a_{i-1} - a_i + 1."""
+    rises = (w[i - 1] - w[i] + 1 for i in range(1, len(w)))
+    return tuple(sorted({0}.union(t for t in rises if t > 0)))
 
 
 def wdes_set(w) -> tuple:
@@ -94,10 +107,8 @@ def min_d(w) -> int:
     """Least d for which w is a d-ascent sequence; at most len(w)."""
     if not is_inversion(w):
         raise ValueError(f"not an inversion sequence: {w}")
-    d = 0
-    while not is_d_ascent_seq(w, d):
-        d += 1
-    return d
+    # the d-ascent set, and with it membership, changes only at a threshold
+    return next(d for d in d_asc_thresholds(w) if is_d_ascent_seq(w, d))
 
 
 def word_pattern(w) -> tuple:
@@ -130,28 +141,39 @@ def enumerate_inversion(n: int):
     yield from product(*(range(1, i + 1) for i in range(1, n + 1)))
 
 
-def enumerate_cayley(n: int):
-    """All Cayley permutations of length n, in lexicographic order.
+def enumerate_cayley(n: int) -> list:
+    """All Cayley permutations of length n, as a sorted list.
 
-    Built from ordered set partitions of the position set: block j holds
-    the positions carrying value j.
+    A depth-first search over positions that tries the values 1..n in
+    increasing order, so the words come out in lexicographic order.  It
+    counts the values of [1, max] not yet used and cuts a branch once they
+    outnumber the positions left; every branch it enters therefore ends in
+    a member, and the cost is O(n) per word.
     """
-    def blocks(rest):
-        if not rest:
-            yield ()
-            return
-        rest = tuple(rest)
-        for size in range(1, len(rest) + 1):
-            for blk in combinations(rest, size):
-                taken = set(blk)
-                for tail in blocks(tuple(i for i in rest if i not in taken)):
-                    yield (blk,) + tail
-
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return [()]
     out = []
-    for osp in blocks(tuple(range(1, n + 1))):
-        w = [0] * n
-        for j, blk in enumerate(osp, 1):
-            for i in blk:
-                w[i - 1] = j
-        out.append(tuple(w))
-    return sorted(out)
+    uses = [0] * (n + 1)
+
+    def grow(prefix, top, missing):
+        left = n - len(prefix) - 1  # positions left after this one
+        for v in range(1, n + 1):
+            if v > top:
+                miss = missing + v - top - 1
+                if miss > left:
+                    break  # a larger v leaves even more values missing
+            else:
+                miss = missing if uses[v] else missing - 1
+                if miss > left:
+                    continue
+            if left:
+                uses[v] += 1
+                grow(prefix + (v,), max(top, v), miss)
+                uses[v] -= 1
+            else:
+                out.append(prefix + (v,))
+
+    grow((), 0, 0)
+    return out

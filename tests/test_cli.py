@@ -150,6 +150,9 @@ def test_enumerate_fishburn_count_is_fishburn_number():
     (["enumerate", "--family", "dasc", "--n", "-1", "--d", "0"], None),
     (["verify", "--suite", "series"], "abc"),
     (["enumerate", "--family", "modinv", "--n", "3"], "abc"),
+    (["verify", "--suite", "dyck", "--n-max", "3", "--d-max", "1000000"], None),
+    (["enumerate", "--family", "modinv", "--n", "9"], None),
+    (["enumerate", "--family", "fishburn", "--n", "12", "--d", "12"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, env, monkeypatch, capsys):
     if env is not None:
@@ -170,3 +173,24 @@ def test_table_cap_bounds_cost_not_n(monkeypatch):
     assert cli.table_cost(500, 5) <= cli.TABLE_MAX_COST < cli.table_cost(501, 5)
     for d_max in range(8):
         assert cli.table_cost(7, d_max) == sum(max(2, d) * 49 for d in range(d_max + 1))
+
+
+def test_enumerate_cost_counts_what_enumerate_examines(monkeypatch):
+    from fishlab import fishburn, hat, sequences
+    for n in range(8):
+        assert cli.enumerate_cost("modinv", n, 0) == sum(
+            1 for _ in sequences.enumerate_inversion(n))
+        for d in range(4):
+            members = sum(1 for _ in hat.enumerate_d_asc(n, d))
+            for family in ("dasc", "modasc", "fishburn"):
+                assert cli.enumerate_cost(family, n, d) == members
+        for family in ("wdesc", "irsub", "drsub"):
+            _, text = run(["enumerate", "--family", family, "--n", str(n)])
+            assert cli.enumerate_cost(family, n, 0) == len(text.splitlines())
+    # the bound admits every family at n <= 8 for every d, whatever the cap
+    monkeypatch.setenv("FISHLAB_MAX_N", "100")
+    assert cli.enumerate_cost("dasc", 8, 100) == math.factorial(8)
+    assert cli.enumerate_cost("modinv", 8, 0) <= cli.ENUMERATE_MAX_COST
+    assert cli.enumerate_cost("dasc", 100, 0) > cli.ENUMERATE_MAX_COST
+    code, _ = run(["enumerate", "--family", "fishburn", "--n", "100", "--d", "0"])
+    assert code == 2

@@ -161,3 +161,67 @@ def test_subdiagonal_images_of_hat_max():
             if fishburn.subdiagonal(p, "decreasing-runs")
         }
         assert {hat.hat_max(w) for w in hat.enumerate_weak_descent(n)} == dec
+
+
+# the n! filters that enumerate --family fishburn|irsub|drsub ran before the
+# classes were generated, kept as reference oracles
+def _fishburn_filter(n, d):
+    return [p for p in permutations(range(1, n + 1)) if fishburn.is_d_fishburn(p, d)]
+
+
+def _subdiagonal_filter(n, mode):
+    return [p for p in permutations(range(1, n + 1)) if fishburn.subdiagonal(p, mode)]
+
+
+def _phi_d_from_scratch(w, d):
+    # recomputes the active sites of the whole permutation at every step
+    p = []
+    for m, a in enumerate(w, 1):
+        p.insert(fishburn.active_site_gaps(tuple(p), d)[a - 1], m)
+    return tuple(p)
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_enumerate_d_fishburn_matches_filter(d):
+    for n in range(9):
+        assert fishburn.enumerate_d_fishburn(n, d) == _fishburn_filter(n, d)
+
+
+@pytest.mark.parametrize("mode", fishburn.SUBDIAGONAL_MODES)
+def test_enumerate_subdiagonal_matches_filter(mode):
+    for n in range(9):
+        assert list(fishburn.enumerate_subdiagonal(n, mode)) == _subdiagonal_filter(n, mode)
+
+
+def test_phi_d_matches_from_scratch_insertion():
+    for d in range(4):
+        for n in range(8):
+            for w in hat.enumerate_d_asc(n, d):
+                assert fishburn.phi_d(w, d) == _phi_d_from_scratch(w, d)
+
+
+def test_generators_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        fishburn.enumerate_d_fishburn(-1, 0)
+    with pytest.raises(ValueError):
+        fishburn.enumerate_subdiagonal(-1, "increasing-runs")
+    with pytest.raises(ValueError):
+        fishburn.enumerate_subdiagonal(3, "zigzag")
+
+
+@pytest.mark.parametrize("d", [-1, -3, 1.5])
+@pytest.mark.parametrize("call", [
+    lambda d: hat.hat_d((1, 1, 2), d),
+    lambda d: hat.enumerate_d_asc(3, d),
+    lambda d: hat.enumerate_mod_d_asc(3, d),
+    lambda d: fishburn.phi_d((1, 1), d),
+    lambda d: fishburn.d_active_elements((2, 1), d),
+    lambda d: fishburn.is_d_fishburn((2, 1), d),
+    lambda d: fishburn.enumerate_d_fishburn(3, d),
+], ids=[
+    "hat_d", "enumerate_d_asc", "enumerate_mod_d_asc", "phi_d",
+    "d_active_elements", "is_d_fishburn", "enumerate_d_fishburn",
+])
+def test_d_must_be_a_nonnegative_integer(call, d):
+    with pytest.raises(ValueError):
+        call(d)

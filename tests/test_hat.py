@@ -175,3 +175,32 @@ def test_enumerate_weak_descent_counts():
         found = list(hat.enumerate_weak_descent(n))
         assert len(found) == count
         assert all(seqs.is_weak_descent_seq(w) for w in found)
+
+
+# the orbit loop h_orbit and enumerate_modinv ran before they went by the
+# d-ascent thresholds: hat_d at every d from min_d to the length
+def _min_d_loop(w):
+    d = 0
+    while not seqs.is_d_ascent_seq(w, d):
+        d += 1
+    return d
+
+
+def _h_orbit_loop(w):
+    seen = {}
+    for d in range(_min_d_loop(w), len(w) + 1):
+        seen.setdefault(hat.hat_d(w, d), d)
+    return tuple((d, image) for image, d in seen.items())
+
+
+def test_h_orbit_matches_orbit_loop():
+    for n in range(8):
+        for w in seqs.enumerate_inversion(n):
+            assert hat.h_orbit(w) == _h_orbit_loop(w)
+            assert seqs.min_d(w) == _min_d_loop(w)
+
+
+def test_enumerate_modinv_matches_orbit_union():
+    for n in range(8):
+        union = {img for w in seqs.enumerate_inversion(n) for _, img in _h_orbit_loop(w)}
+        assert hat.enumerate_modinv(n) == sorted(union)

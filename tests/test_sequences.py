@@ -195,3 +195,31 @@ def test_enumerate_cayley_counts():
         assert len(found) == count
         assert all(seqs.is_cayley(w) for w in found)
         assert found == sorted(set(found))
+
+
+def _cayley_by_set_partitions(n):
+    # ordered set partitions of the positions, block j carrying value j,
+    # then sorted: how enumerate_cayley worked before its search
+    def blocks(rest):
+        if not rest:
+            yield ()
+            return
+        for size in range(1, len(rest) + 1):
+            for blk in combinations(rest, size):
+                tail = tuple(i for i in rest if i not in blk)
+                for more in blocks(tail):
+                    yield (blk,) + more
+
+    out = []
+    for osp in blocks(tuple(range(1, n + 1))):
+        w = [0] * n
+        for j, blk in enumerate(osp, 1):
+            for i in blk:
+                w[i - 1] = j
+        out.append(tuple(w))
+    return sorted(out)
+
+
+def test_enumerate_cayley_matches_set_partitions():
+    for n in range(9):
+        assert seqs.enumerate_cayley(n) == _cayley_by_set_partitions(n)
