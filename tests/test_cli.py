@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from fishlab import cli
+from fishlab import cli, hat, sequences
 
 
 def run(argv):
@@ -176,7 +176,6 @@ def test_table_cap_bounds_cost_not_n(monkeypatch):
 
 
 def test_enumerate_cost_counts_what_enumerate_examines(monkeypatch):
-    from fishlab import fishburn, hat, sequences
     for n in range(8):
         assert cli.enumerate_cost("modinv", n, 0) == sum(
             1 for _ in sequences.enumerate_inversion(n))
@@ -187,10 +186,11 @@ def test_enumerate_cost_counts_what_enumerate_examines(monkeypatch):
         for family in ("wdesc", "irsub", "drsub"):
             _, text = run(["enumerate", "--family", family, "--n", str(n)])
             assert cli.enumerate_cost(family, n, 0) == len(text.splitlines())
-    # the bound admits every family at n <= 8 for every d, whatever the cap
-    monkeypatch.setenv("FISHLAB_MAX_N", "100")
+    # the largest families at n = 8 hold 8! objects, inside the bound; with
+    # the n cap raised, the cost bound alone refuses n = 100, and quickly
     assert cli.enumerate_cost("dasc", 8, 100) == math.factorial(8)
     assert cli.enumerate_cost("modinv", 8, 0) <= cli.ENUMERATE_MAX_COST
     assert cli.enumerate_cost("dasc", 100, 0) > cli.ENUMERATE_MAX_COST
+    monkeypatch.setenv("FISHLAB_MAX_N", "100")
     code, _ = run(["enumerate", "--family", "fishburn", "--n", "100", "--d", "0"])
     assert code == 2

@@ -163,8 +163,8 @@ def test_subdiagonal_images_of_hat_max():
         assert {hat.hat_max(w) for w in hat.enumerate_weak_descent(n)} == dec
 
 
-# the n! filters that enumerate --family fishburn|irsub|drsub ran before the
-# classes were generated, kept as reference oracles
+# reference oracles: all n! permutations filtered through the public
+# predicates, and phi_d with the active sites recomputed at every step
 def _fishburn_filter(n, d):
     return [p for p in permutations(range(1, n + 1)) if fishburn.is_d_fishburn(p, d)]
 

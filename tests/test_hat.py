@@ -177,8 +177,8 @@ def test_enumerate_weak_descent_counts():
         assert all(seqs.is_weak_descent_seq(w) for w in found)
 
 
-# the orbit loop h_orbit and enumerate_modinv ran before they went by the
-# d-ascent thresholds: hat_d at every d from min_d to the length
+# reference oracles: hat_d at every d from min_d to the length, with min_d
+# found by trying d = 0, 1, 2, ...
 def _min_d_loop(w):
     d = 0
     while not seqs.is_d_ascent_seq(w, d):

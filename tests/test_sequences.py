@@ -198,8 +198,8 @@ def test_enumerate_cayley_counts():
 
 
 def _cayley_by_set_partitions(n):
-    # ordered set partitions of the positions, block j carrying value j,
-    # then sorted: how enumerate_cayley worked before its search
+    # reference oracle: ordered set partitions of the positions, block j
+    # carrying value j, then sorted
     def blocks(rest):
         if not rest:
             yield ()
