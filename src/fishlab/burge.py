@@ -25,12 +25,11 @@ def burge_transpose(top, bottom):
 
 
 def burget(c) -> tuple:
-    """Bottom row of the transpose of (identity; c); a permutation of [n].
-
-    On permutations this is the group inverse.
-    """
+    """Bottom row of the transpose of (identity; c); a permutation of [n],
+    the group inverse when c is one.  Checks once that c is Cayley, the
+    only requirement of check_tableau that (identity; c) can fail.  The
+    transpose sorts the columns by (c_i, -i), so its bottom row is
+    n, ..., 1 stably sorted by c_i: O(n log n)."""
     if not is_cayley(c):
         raise ValueError(f"not a Cayley permutation: {c}")
-    identity = tuple(range(1, len(c) + 1))
-    _, bottom = burge_transpose(identity, c)
-    return bottom
+    return tuple(sorted(range(len(c), 0, -1), key=lambda i: c[i - 1]))

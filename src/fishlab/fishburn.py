@@ -3,7 +3,7 @@ subdiagonal permutations."""
 
 from itertools import permutations
 
-from .sequences import check_d, is_d_ascent_seq
+from .sequences import check_d, check_n, is_d_ascent_seq
 
 SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
 
@@ -17,19 +17,23 @@ def d_active_elements(p, d: int) -> frozenset:
     """Values declared active by the sweep k = 1, ..., n.
 
     k is inactive when it sits left of k-1 with at least d active values
-    between them; values > k are invisible at step k.
-    """
+    between them; values > k are invisible at step k.  Checks d and p
+    once, then sweeps with positions and activity in lists: O(n^2)."""
     check_d(d)
-    pos = {v: i for i, v in enumerate(p)}
+    check_perm(p)
+    pos = [0] * len(p)  # pos[k - 1]: the position of k
+    for i, v in enumerate(p):
+        pos[v - 1] = i
+    flags = [False] * len(p)  # flags[i]: p[i] is active so far
     active = set()
-    for k in range(1, len(p) + 1):
-        if k == 1 or pos[k] > pos[k - 1]:
+    prev = -1  # the position of k - 1
+    for k, i in enumerate(pos, 1):
+        # active values so far are all < k, hence in the k-restriction
+        if i > prev or sum(flags[i + 1 : prev]) < d:
+            flags[i] = True
             active.add(k)
-        else:
-            # active values so far are all < k, hence in the k-restriction
-            between = sum(1 for v in p[pos[k] + 1 : pos[k - 1]] if v in active)
-            if between < d:
-                active.add(k)
+        prev = i
+    # a frozenset built from a set gets a smaller table than one from a list
     return frozenset(active)
 
 
@@ -39,8 +43,6 @@ def _ascent_bottoms(p):
 
 def is_d_fishburn(p, d: int) -> bool:
     """True iff every ascent bottom of p is a d-active element."""
-    check_d(d)
-    check_perm(p)
     return _ascent_bottoms(p) <= d_active_elements(p, d)
 
 
@@ -109,11 +111,6 @@ def active_site_gaps(p, d: int) -> tuple:
     return (0,) + tuple(i + 1 for i, v in enumerate(p) if v in active)
 
 
-def _gaps(flags) -> list:
-    """active_site_gaps, from the activity flags of the entries of p."""
-    return [0] + [i + 1 for i, active in enumerate(flags) if active]
-
-
 def _max_is_active(flags, gap, below, d) -> bool:
     """Whether a new maximum m inserted at gap is d-active, where below is
     the index of m - 1 (-1 when there is none).  The values under m keep their activity, so
@@ -126,18 +123,22 @@ def phi_d(w, d: int) -> tuple:
     """Build a permutation by inserting each new maximum into the active
     site labeled by the corresponding letter of w.
 
-    The activity of the entries is kept up to date across insertions, so
-    each insertion costs O(n).
-    """
+    Checks d and w once.  The activity of the entries is kept up to date
+    across insertions, and m - 1 sits where it was just inserted, so each
+    insertion is one scan of a list: O(n)."""
     check_d(d)
     if not is_d_ascent_seq(w, d):
         raise ValueError(f"not a {d}-ascent sequence: {w}")
     p, flags = [], []
+    below = -1  # the index of m - 1
     for m, a in enumerate(w, 1):
-        gap = _gaps(flags)[a - 1]
-        active = _max_is_active(flags, gap, p.index(m - 1) if p else -1, d)
+        gap = 0  # site 1; site s > 1 is the gap after the (s-1)-th active entry
+        for _ in range(a - 1):
+            gap = flags.index(True, gap) + 1
+        active = _max_is_active(flags, gap, below, d)
         p.insert(gap, m)
         flags.insert(gap, active)
+        below = gap
     return tuple(p)
 
 
@@ -151,24 +152,23 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
     collected and sorted into lexicographic order.
     """
     check_d(d)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    check_n(n)
     if n == 0:
         return [()]
     out = []
 
-    def grow(p, flags):
-        gaps = _gaps(flags)
+    def grow(p, flags, below):
+        # below is the index of m - 1: the gap it was inserted at
+        gaps = [0] + [i + 1 for i, active in enumerate(flags) if active]
         m = len(p) + 1
         if m == n:
             out.extend(p[:g] + (m,) + p[g:] for g in gaps)
             return
-        below = p.index(m - 1) if p else -1
         for g in gaps:
             active = _max_is_active(flags, g, below, d)
-            grow(p[:g] + (m,) + p[g:], flags[:g] + (active,) + flags[g:])
+            grow(p[:g] + (m,) + p[g:], flags[:g] + (active,) + flags[g:], g)
 
-    grow((), ())
+    grow((), (), -1)
     out.sort()
     return out
 
@@ -176,7 +176,6 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
 def phi_d_parent(p, d: int):
     """Remove the maximum from p; return the parent and the 1-based label
     of the active site of the parent that held it."""
-    check_perm(p)
     if not p:
         raise ValueError("the empty permutation has no parent")
     if not is_d_fishburn(p, d):
@@ -224,8 +223,7 @@ def enumerate_subdiagonal(n: int, mode: str):
     """
     if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    check_n(n)
     if n == 0:
         return iter([()])
     increasing = mode == "increasing-runs"

@@ -7,12 +7,12 @@ d-ascent sets, so the list must not be recomputed mid-fold.
 
 from .sequences import (
     check_d,
+    check_n,
     d_asc_set,
     d_asc_thresholds,
     enumerate_inversion,
     is_d_ascent_seq,
     is_inversion,
-    nub,
 )
 
 
@@ -25,51 +25,43 @@ def modify(w, j: int) -> tuple:
 
 
 def hat_d(w, d: int) -> tuple:
-    """Fold modify over the d-ascent list of w, left to right."""
+    """modify folded over the d-ascent list of w, left to right.  Checks d
+    and w once, then runs one unchecked O(n^2) fold on a list."""
     check_d(d)
     if not is_d_ascent_seq(w, d):
         raise ValueError(f"not a {d}-ascent sequence: {w}")
-    out = tuple(w)
-    for j in d_asc_set(w, d):
-        out = modify(out, j)
-    return out
+    return _fold(w, d_asc_set(w, d))
 
 
 def hat_max(w) -> tuple:
-    """hat_{n-1} of a length-n inversion sequence; a permutation of [n]."""
+    """hat_{n-1} of a length-n inversion sequence; a permutation of [n].
+    Checks w once, then folds over every position, all (n-1)-ascents: O(n^2)."""
     if not is_inversion(w):
         raise ValueError(f"not an inversion sequence: {w}")
-    # every position is an (n-1)-ascent, so the fold visits all of them
-    out = tuple(w)
-    for j in range(1, len(w) + 1):
-        out = modify(out, j)
-    return out
+    return _fold(w, range(1, len(w) + 1))
 
 
 def hat_inv(g) -> tuple:
     """The unique inversion sequence whose hat orbit contains g.
 
-    Peels the last letter: when position n holds a leftmost copy the
-    prefix entries above g_n are shifted back down first.
-    """
-    out = []
-    cur = tuple(g)
-    while cur:
-        gn = cur[-1]
-        delta = cur[:-1]
-        if len(cur) in nub(cur):
-            delta = tuple(c - 1 if c > gn else c for c in delta)
-        out.append(gn)
-        cur = delta
-    result = tuple(reversed(out))
-    if not is_inversion(result):
-        raise ValueError(f"{tuple(g)} is not a modified inversion sequence")
-    return result
+    Peels g_k, k = n, ..., 1, in place on one list: when g_k has no copy
+    further left, the entries left of it above it are shifted down first.
+    Checks 1 <= g_k <= k as it peels, so raises iff g peels to no
+    inversion sequence.  O(n^2)."""
+    cur = list(g)
+    for k in range(len(cur), 0, -1):
+        gk = cur[k - 1]
+        if not 1 <= gk <= k:
+            raise ValueError(f"{tuple(g)} is not a modified inversion sequence")
+        if cur.index(gk) == k - 1:
+            for i in range(k - 1):
+                if cur[i] > gk:
+                    cur[i] -= 1
+    return tuple(cur)
 
 
 def _fold(w, positions) -> tuple:
-    """modify folded over the positions, left to right, on one list and
-    with no range checks."""
+    """modify folded over the positions, left to right, on one list, unchecked."""
     out = list(w)
     for j in positions:
         aj = out[j - 1]
@@ -106,6 +98,7 @@ def h_orbit(w):
 
 def enumerate_d_asc(n: int, d: int):
     """All d-ascent sequences of length n, in lexicographic order."""
+    check_n(n)
     check_d(d)
 
     def grow(prefix, dasc):
@@ -116,7 +109,7 @@ def enumerate_d_asc(n: int, d: int):
             is_dasc = not prefix or a > prefix[-1] - d
             yield from grow(prefix + (a,), dasc + (1 if is_dasc else 0))
 
-    # returned, not yielded from, so that a bad d raises at the call
+    # returned, not yielded from, so that a bad n or d raises at the call
     return grow((), 0)
 
 
@@ -127,6 +120,7 @@ def enumerate_mod_d_asc(n: int, d: int):
     append b - d < a <= 1 + max after lifting the entries >= a.  The
     d-ascent sequences themselves are never consulted.
     """
+    check_n(n)
     check_d(d)
     if n == 0:
         return [()]
@@ -145,6 +139,7 @@ def enumerate_mod_d_asc(n: int, d: int):
 
 def enumerate_weak_descent(n: int):
     """All weak descent sequences of length n, in lexicographic order."""
+    check_n(n)
     def grow(prefix, wdes):
         if len(prefix) == n:
             yield prefix
@@ -153,7 +148,8 @@ def enumerate_weak_descent(n: int):
             is_wdes = bool(prefix) and a <= prefix[-1]
             yield from grow(prefix + (a,), wdes + (1 if is_wdes else 0))
 
-    yield from grow((), 0)
+    # returned, not yielded from, so that a bad n raises at the call
+    return grow((), 0)
 
 
 def enumerate_modinv(n: int) -> list:

@@ -15,6 +15,12 @@ def check_d(d) -> None:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
 
 
+def check_n(n) -> None:
+    """Raise ValueError when the length n is negative."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+
 def asc_set(w) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1}."""
     return tuple(i for i in range(1, len(w) + 1) if i == 1 or w[i - 1] > w[i - 2])
@@ -78,11 +84,11 @@ def is_inversion(w) -> bool:
 
 
 def is_d_ascent_seq(w, d: int) -> bool:
-    """True iff every entry satisfies a_i <= 1 + (number of d-ascents of the prefix)."""
+    """True iff every entry satisfies 1 <= a_i <= 1 + (d-ascents of the prefix)."""
     dasc = 0
     prev = None
     for a in w:
-        if a > 1 + dasc:
+        if not 1 <= a <= 1 + dasc:
             return False
         if prev is None or a > prev - d:
             dasc += 1
@@ -91,11 +97,11 @@ def is_d_ascent_seq(w, d: int) -> bool:
 
 
 def is_weak_descent_seq(w) -> bool:
-    """True iff a_1 = 1 and every a_i <= 1 + (number of weak descents of the prefix)."""
+    """True iff every entry satisfies 1 <= a_i <= 1 + (weak descents of the prefix)."""
     wdes = 0
     prev = None
     for a in w:
-        if a > 1 + wdes:
+        if not 1 <= a <= 1 + wdes:
             return False
         if prev is not None and a <= prev:
             wdes += 1
@@ -150,8 +156,7 @@ def enumerate_cayley(n: int) -> list:
     outnumber the positions left; every branch it enters therefore ends in
     a member, and the cost is O(n) per word.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    check_n(n)
     if n == 0:
         return [()]
     out = []

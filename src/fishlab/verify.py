@@ -232,12 +232,13 @@ def suite_subdiag(n_max: int, d_max: int):
         for p in fishburn.enumerate_perms(n):
             in_irsub = fishburn.subdiagonal(p, "increasing-runs")
             nasc = len(seqs.asc_set(p))
+            in_drsub = fishburn.subdiagonal(p, "decreasing-runs")
+            nwdes = len(seqs.wdes_set(p))
             for a in range(1, n + 2):
                 lifted = tuple(c + 1 if c >= a else c for c in p) + (a,)
                 want = in_irsub and a <= 1 + nasc
                 ok = ok and fishburn.subdiagonal(lifted, "increasing-runs") == want
-                in_drsub = fishburn.subdiagonal(p, "decreasing-runs")
-                want = in_drsub and a <= 1 + len(seqs.wdes_set(p))
+                want = in_drsub and a <= 1 + nwdes
                 ok = ok and fishburn.subdiagonal(lifted, "decreasing-runs") == want
         reports.append(_report("subdiag-insertion-law", n, None, True, ok, start))
     return reports

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import chain, permutations, product
 
 import pytest
 from hypothesis import given
@@ -95,3 +95,30 @@ def test_burget_injective_on_modified_families():
         for n in range(7):
             dom = hat.enumerate_mod_d_asc(n, d)
             assert len({burge.burget(w) for w in dom}) == len(dom)
+
+
+# reference oracle: burget as it was first written, through the public
+# burge_transpose of the tableau (identity; c) with all its checks
+def _burget_by_transpose(c):
+    if not seqs.is_cayley(c):
+        raise ValueError(f"not a Cayley permutation: {c}")
+    _, bottom = burge.burge_transpose(tuple(range(1, len(c) + 1)), c)
+    return bottom
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def test_burget_matches_transpose():
+    # Cayley words with repeated letters are the tie-breaking cases
+    for n in range(8):
+        for c in chain(seqs.enumerate_cayley(n), seqs.enumerate_inversion(n)):
+            assert _outcome(burge.burget, c) == _outcome(_burget_by_transpose, c)
+    for n in range(6):
+        for c in product(range(-1, n + 2), repeat=n):
+            assert _outcome(burge.burget, c) == _outcome(_burget_by_transpose, c)

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -225,3 +225,85 @@ def test_generators_reject_bad_arguments():
 def test_d_must_be_a_nonnegative_integer(call, d):
     with pytest.raises(ValueError):
         call(d)
+
+
+# reference oracle: d_active_elements as it was first written, with the
+# positions in a dict and the active values in a set
+def _d_active_by_sets(p, d):
+    pos = {v: i for i, v in enumerate(p)}
+    active = set()
+    for k in range(1, len(p) + 1):
+        if k == 1 or pos[k] > pos[k - 1]:
+            active.add(k)
+        else:
+            between = sum(1 for v in p[pos[k] + 1 : pos[k - 1]] if v in active)
+            if between < d:
+                active.add(k)
+    return frozenset(active)
+
+
+def test_d_active_elements_matches_sets():
+    for d in range(4):
+        for n in range(8):
+            for p in permutations(range(1, n + 1)):
+                assert fishburn.d_active_elements(p, d) == _d_active_by_sets(p, d)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: fishburn.d_active_elements(p, 0),
+    lambda p: fishburn.active_site_gaps(p, 0),
+    lambda p: fishburn.contains_fishburn_pattern(p, 0),
+    lambda p: fishburn.phi_d_parent(p, 0),
+], ids=["d_active_elements", "active_site_gaps", "contains_fishburn_pattern", "phi_d_parent"])
+def test_permutation_inputs_are_checked(call):
+    for p in ((1, 1), (2, 3), (0, 1), (5,), (1, 3, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            call(p)
+
+
+def test_check_perm_runs_once_per_permutation(monkeypatch):
+    checked = []
+    check_perm = fishburn.check_perm
+
+    def counting_check_perm(p):
+        checked.append(tuple(p))
+        check_perm(p)
+
+    monkeypatch.setattr(fishburn, "check_perm", counting_check_perm)
+    p = (3, 1, 4, 2)
+    fishburn.is_d_fishburn(p, 1)
+    assert checked == [p]
+    checked.clear()
+    fishburn.phi_d_parent(p, 1)
+    # once for p, and once for its parent inside active_site_gaps
+    assert checked == [p, (3, 1, 2)]
+
+
+def _words_over(n):
+    # every word of length n over [-1, n + 1]: members and non-members
+    return product(range(-1, n + 2), repeat=n)
+
+
+def test_maps_accept_exactly_their_domains():
+    for n in range(5):
+        words = list(_words_over(n))
+        cayley = set(seqs.enumerate_cayley(n))
+        inversion = set(seqs.enumerate_inversion(n))
+        perms = set(permutations(range(1, n + 1)))
+        for w in words:
+            assert _accepts(burge.burget, w) == (w in cayley)
+            assert _accepts(hat.hat_max, w) == (w in inversion)
+            assert _accepts(fishburn.d_active_elements, w, 0) == (w in perms)
+        for d in range(4):
+            dasc = set(hat.enumerate_d_asc(n, d))
+            for w in words:
+                assert _accepts(hat.hat_d, w, d) == (w in dasc)
+                assert _accepts(fishburn.phi_d, w, d) == (w in dasc)
+
+
+def _accepts(f, *args):
+    try:
+        f(*args)
+    except ValueError:
+        return False
+    return True

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import chain, permutations, product
 
 import pytest
 from hypothesis import given
@@ -204,3 +204,71 @@ def test_enumerate_modinv_matches_orbit_union():
     for n in range(8):
         union = {img for w in seqs.enumerate_inversion(n) for _, img in _h_orbit_loop(w)}
         assert hat.enumerate_modinv(n) == sorted(union)
+
+
+# reference oracles: the bodies hat_max and hat_inv had before they ran on
+# one list, kept with their input checks
+def _hat_max_modify_fold(w):
+    if not seqs.is_inversion(w):
+        raise ValueError(f"not an inversion sequence: {w}")
+    out = tuple(w)
+    for j in range(1, len(w) + 1):
+        out = hat.modify(out, j)
+    return out
+
+
+def _hat_inv_nub_peel(g):
+    out = []
+    cur = tuple(g)
+    while cur:
+        gn = cur[-1]
+        delta = cur[:-1]
+        if len(cur) in seqs.nub(cur):
+            delta = tuple(c - 1 if c > gn else c for c in delta)
+        out.append(gn)
+        cur = delta
+    result = tuple(reversed(out))
+    if not seqs.is_inversion(result):
+        raise ValueError(f"{tuple(g)} is not a modified inversion sequence")
+    return result
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _bad_words(max_n=5):
+    # every word of length <= max_n over [-1, n + 1]: mostly non-members
+    for n in range(max_n + 1):
+        yield from product(range(-1, n + 2), repeat=n)
+
+
+def test_hat_max_matches_modify_fold():
+    for n in range(8):
+        for w in seqs.enumerate_inversion(n):
+            assert hat.hat_max(w) == _hat_max_modify_fold(w)
+    for w in _bad_words():
+        assert _outcome(hat.hat_max, w) == _outcome(_hat_max_modify_fold, w)
+
+
+def test_hat_inv_matches_nub_peel():
+    for n in range(8):
+        for g in chain(seqs.enumerate_inversion(n), seqs.enumerate_cayley(n)):
+            assert _outcome(hat.hat_inv, g) == _outcome(_hat_inv_nub_peel, g)
+    for g in _bad_words():
+        assert _outcome(hat.hat_inv, g) == _outcome(_hat_inv_nub_peel, g)
+
+
+def test_enumerators_reject_negative_n():
+    for call in (
+        lambda: hat.enumerate_d_asc(-1, 0),
+        lambda: hat.enumerate_mod_d_asc(-1, 0),
+        lambda: hat.enumerate_weak_descent(-1),
+        lambda: seqs.enumerate_cayley(-1),
+    ):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            call()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fishlab import fishburn, hat
 from fishlab import sequences as seqs
 
 
@@ -139,6 +140,17 @@ def test_is_weak_descent_seq_examples():
     assert seqs.is_weak_descent_seq((1, 1))
     assert not seqs.is_weak_descent_seq((1, 2))
     assert seqs.is_weak_descent_seq((1,))
+
+
+@pytest.mark.parametrize("w", [(0,), (0, 0), (1, -2), (1, 0), (-1,), (1, 1, 0), (1, 2, -5)])
+def test_word_predicates_reject_entries_below_one(w):
+    assert not seqs.is_weak_descent_seq(w)
+    for d in range(4):
+        assert not seqs.is_d_ascent_seq(w, d)
+        with pytest.raises(ValueError):
+            hat.hat_d(w, d)
+        with pytest.raises(ValueError):
+            fishburn.phi_d(w, d)
 
 
 def test_min_d_examples():
