@@ -279,14 +279,18 @@ def test_check_perm_runs_once_per_permutation(monkeypatch):
     assert checked == [p, (3, 1, 2)]
 
 
-def _words_over(n):
-    # every word of length n over [-1, n + 1]: members and non-members
-    return product(range(-1, n + 2), repeat=n)
+def _accepts(f, *args):
+    try:
+        f(*args)
+    except ValueError:
+        return False
+    return True
 
 
 def test_maps_accept_exactly_their_domains():
     for n in range(5):
-        words = list(_words_over(n))
+        # every word of length n over [-1, n + 1]: members and non-members
+        words = list(product(range(-1, n + 2), repeat=n))
         cayley = set(seqs.enumerate_cayley(n))
         inversion = set(seqs.enumerate_inversion(n))
         perms = set(permutations(range(1, n + 1)))
@@ -300,10 +304,3 @@ def test_maps_accept_exactly_their_domains():
                 assert _accepts(hat.hat_d, w, d) == (w in dasc)
                 assert _accepts(fishburn.phi_d, w, d) == (w in dasc)
 
-
-def _accepts(f, *args):
-    try:
-        f(*args)
-    except ValueError:
-        return False
-    return True
