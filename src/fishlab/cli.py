@@ -7,18 +7,18 @@ Output is deterministic: fixed sort orders, no timestamps in data rows.
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 from . import dyck, fishburn, hat, series, verify
 
 DEFAULT_MAX_N = 12
 
 # bound on enumerate_cost: admits every family at n <= 8 for every d (at
-# most 8! = 40320 objects) and refuses modinv at n = 9 (9! objects)
+# most 84057 objects, modinv at n = 8) and refuses modinv at n = 9
 ENUMERATE_MAX_COST = 100_000
 
 # bound on table_cost: table_cost(500, 5), the --n-max 500 --d-max 5 table
@@ -56,10 +56,14 @@ def _usage_errors(cmd):
     return run
 
 
+def _line_format(n: int) -> str:
+    """The %-format of one output line for a word of length n: its entries
+    run together, or comma-separated once an entry can have two digits."""
+    return ("%d" * n if n <= 9 else ",".join(["%d"] * n)) + "\n"
+
+
 def serialize_seq(w) -> str:
-    if len(w) <= 9:
-        return "".join(str(a) for a in w)
-    return ",".join(str(a) for a in w)
+    return (_line_format(len(w)) % tuple(w))[:-1]
 
 
 def _families(n, d):
@@ -78,38 +82,59 @@ def _families(n, d):
     }
 
 
-def _count_words(n: int, first: int, counts) -> int:
-    """Words of length n that start with 1 and whose every later letter is
-    at most one more than a statistic of the prefix before it: the first
-    letter counts `first`, and a letter b after a counts counts(a, b).
-    A DP on (statistic, last letter) that returns the count so far once it
-    passes ENUMERATE_MAX_COST."""
+def _count_leaves(n: int, root, children) -> int:
+    """Nodes at depth n of a generating tree whose nodes at depth 1 are the
+    root label and whose node with label x has one child per label in
+    children(x).  A DP on label multiplicities that returns the count so
+    far once it passes ENUMERATE_MAX_COST."""
     if n == 0:
         return 1
-    level = Counter({(first, 1): 1})
+    level = Counter({root: 1})
     for _ in range(n - 1):
         if sum(level.values()) > ENUMERATE_MAX_COST:
-            break  # every word extends, so the count only grows with n
+            break  # every node has a child, so the count only grows with n
         nxt = Counter()
-        for (k, a), mult in level.items():
-            for b in range(1, k + 2):
-                nxt[k + counts(a, b), b] += mult
+        for label, mult in level.items():
+            for child in children(label):
+                nxt[child] += mult
         level = nxt
     return sum(level.values())
 
 
+def _word_children(counts):
+    """Children for words whose every letter is at most one more than a
+    statistic of the prefix before it, on labels (statistic, last letter):
+    a letter b after a adds counts(a, b) to the statistic."""
+    def children(label):
+        k, a = label
+        return [(k + counts(a, b), b) for b in range(1, k + 2)]
+    return children
+
+
+def _hat_tree_children(label):
+    """Children in hat._hat_tree, on labels (lo, hi, dasc, last letter)."""
+    lo, hi, dasc, b = label
+    for a in range(1, dasc + 2):
+        t = b - a + 1
+        if lo < t:
+            yield lo, min(hi, t - 1), dasc, a
+        if t <= hi:
+            yield max(lo, t), hi, dasc + 1, a
+
+
 def enumerate_cost(family: str, n: int, d: int) -> int:
-    """Objects `enumerate` examines: the n! inversion sequences whose orbits
-    make up modinv, and the members for every other family.  Members come
-    from d-ascent or weak-descent counts, through the bijections phi_d,
-    hat_d and hat_max; a count above ENUMERATE_MAX_COST may be cut short."""
+    """Objects `enumerate` examines: the members, each a leaf of the tree
+    that generates it.  The leaves of hat._hat_tree for modinv, and for the
+    other families the d-ascent or weak-descent words, through the
+    bijections phi_d, hat_d and hat_max; a count above ENUMERATE_MAX_COST
+    may be cut short."""
     if family == "modinv":
-        return math.factorial(n)
+        return _count_leaves(n, (0, max(n - 1, 0), 1, 1), _hat_tree_children)
     if family in ("wdesc", "drsub"):
-        return _count_words(n, 0, lambda a, b: b <= a)
+        return _count_leaves(n, (0, 1), _word_children(lambda a, b: b <= a))
     if family == "irsub":
         d = 0  # irsub is the hat_max image of the ascent sequences
-    return _count_words(n, 1, lambda a, b: b > a - d)
+    return _count_leaves(n, (1, 1), _word_children(lambda a, b: b > a - d))
 
 
 @_usage_errors
@@ -125,8 +150,11 @@ def cmd_enumerate(args, out) -> int:
             f"--n {args.n} too large for family {args.family}: it would examine "
             f"{cost} or more objects, the limit is {ENUMERATE_MAX_COST}"
         )
-    for w in _families(args.n, args.d)[args.family]():
-        print(serialize_seq(w), file=out)
+    words = _families(args.n, args.d)[args.family]()
+    # one write; the lines are joined 4096 at a time, until none is left (no
+    # line is empty), so that they never all exist as separate strings
+    lines = map(_line_format(args.n).__mod__, words)
+    out.write("".join(iter(lambda: "".join(islice(lines, 4096)), "")))
     return 0
 
 

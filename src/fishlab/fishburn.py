@@ -256,4 +256,6 @@ def enumerate_subdiagonal(n: int, mode: str):
 
 def enumerate_perms(n: int):
     """All permutations of [n] in lexicographic order."""
-    yield from permutations(range(1, n + 1))
+    check_n(n)
+    # returned, not yielded from, so that a bad n raises at the call
+    return permutations(range(1, n + 1))

@@ -144,7 +144,9 @@ def avoids_all(w, patterns) -> bool:
 
 def enumerate_inversion(n: int):
     """All inversion sequences of length n in lexicographic order."""
-    yield from product(*(range(1, i + 1) for i in range(1, n + 1)))
+    check_n(n)
+    # returned, not yielded from, so that a bad n raises at the call
+    return product(*(range(1, i + 1) for i in range(1, n + 1)))
 
 
 def enumerate_cayley(n: int) -> list:

@@ -1,10 +1,11 @@
+import hashlib
 import io
 import json
 import math
 
 import pytest
 
-from fishlab import cli, hat, sequences
+from fishlab import cli, fixtures, hat
 
 
 def run(argv):
@@ -18,6 +19,39 @@ def test_serialize_seq():
     assert cli.serialize_seq((1, 2, 1)) == "121"
     assert cli.serialize_seq(()) == ""
     assert cli.serialize_seq(tuple(range(1, 11))) == "1,2,3,4,5,6,7,8,9,10"
+
+
+def test_enumerate_line_is_serialize_seq():
+    # the comma form starts at n = 10, past what the cost cap lets through
+    for n in range(13):
+        w = tuple(range(n, 0, -1))
+        assert cli._line_format(n) % w == cli.serialize_seq(w) + "\n"
+
+
+# sha256 of the stdout of `enumerate`, run for each d <= 2 (families that
+# take one) and each n <= 7 in turn, concatenated; computed before the hat
+# tree and the one-write writer replaced the old enumerators and print loop
+ENUMERATE_GOLDEN_SHA256 = {
+    "dasc": "0eee71e2ab11ace28cf0fd2a55e49228a080c398530c5a0995a542b55af097a3",
+    "drsub": "bab6cde5037e53f7332f389773d19938e516257b4064e7611f653f6774e994f5",
+    "fishburn": "37e9549edaecda2e7d217be88a51aee49edb0c2933b496e7626b23a2a68d64ac",
+    "irsub": "82b9ac013840b02084dd99f7f64fbaacc2b831dcaf0085e484b55faf28c2a197",
+    "modasc": "aec13b0a14789c3a2f6308c98d3dca6069e0c8773ac584f4dabb689730cfd78d",
+    "modinv": "f40d032b1abdf44d285d41c0bf3a29370543f39c6ec2c6ceea6217bec56efb43",
+    "wdesc": "eceb41a518dc222a5b911bacb1aa4c04cd594c655615ddd8d2726cc6814589bf",
+}
+
+
+@pytest.mark.parametrize("family", sorted(ENUMERATE_GOLDEN_SHA256))
+def test_enumerate_output_is_pinned(family):
+    takes_d = family in ("dasc", "modasc", "fishburn")
+    text = ""
+    for d_args in [["--d", str(d)] for d in range(3)] if takes_d else [[]]:
+        for n in range(8):
+            code, out = run(["enumerate", "--family", family, "--n", str(n)] + d_args)
+            assert code == 0
+            text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_GOLDEN_SHA256[family]
 
 
 def test_enumerate_dasc():
@@ -177,8 +211,7 @@ def test_table_cap_bounds_cost_not_n(monkeypatch):
 
 def test_enumerate_cost_counts_what_enumerate_examines(monkeypatch):
     for n in range(8):
-        assert cli.enumerate_cost("modinv", n, 0) == sum(
-            1 for _ in sequences.enumerate_inversion(n))
+        assert cli.enumerate_cost("modinv", n, 0) == len(hat.enumerate_modinv(n))
         for d in range(4):
             members = sum(1 for _ in hat.enumerate_d_asc(n, d))
             for family in ("dasc", "modasc", "fishburn"):
@@ -186,10 +219,12 @@ def test_enumerate_cost_counts_what_enumerate_examines(monkeypatch):
         for family in ("wdesc", "irsub", "drsub"):
             _, text = run(["enumerate", "--family", family, "--n", str(n)])
             assert cli.enumerate_cost(family, n, 0) == len(text.splitlines())
-    # the largest families at n = 8 hold 8! objects, inside the bound; with
-    # the n cap raised, the cost bound alone refuses n = 100, and quickly
+    # the largest families at n = 8 hold 8! objects and modinv 84057, inside
+    # the bound, and modinv at n = 9 is past it; with the n cap raised, the
+    # cost bound alone refuses n = 100, and quickly
     assert cli.enumerate_cost("dasc", 8, 100) == math.factorial(8)
-    assert cli.enumerate_cost("modinv", 8, 0) <= cli.ENUMERATE_MAX_COST
+    assert cli.enumerate_cost("modinv", 8, 0) == fixtures.MODINV_COUNTS[8]
+    assert cli.enumerate_cost("modinv", 9, 0) > cli.ENUMERATE_MAX_COST
     assert cli.enumerate_cost("dasc", 100, 0) > cli.ENUMERATE_MAX_COST
     monkeypatch.setenv("FISHLAB_MAX_N", "100")
     code, _ = run(["enumerate", "--family", "fishburn", "--n", "100", "--d", "0"])

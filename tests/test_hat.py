@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishlab import fixtures, hat
+from fishlab import fishburn, fixtures, hat
 from fishlab import sequences as seqs
 
 
@@ -127,6 +127,38 @@ def test_enumerate_mod_d_asc_matches_hat_image():
         for n in range(7):
             image = sorted(hat.hat_d(w, d) for w in hat.enumerate_d_asc(n, d))
             assert hat.enumerate_mod_d_asc(n, d) == image
+
+
+# reference oracle: enumerate_mod_d_asc as it was before the hat tree, by
+# the recursive description, one BFS level of tuples at a time, then sorted
+def _mod_d_asc_bfs(n, d):
+    if n == 0:
+        return [()]
+    level = [(1,)]
+    for _ in range(n - 1):
+        nxt = []
+        for h in level:
+            b, m = h[-1], max(h)
+            for a in range(1, b - d + 1):
+                nxt.append(h + (a,))
+            for a in range(max(b - d + 1, 1), m + 2):
+                nxt.append(tuple(c + 1 if c >= a else c for c in h) + (a,))
+        level = nxt
+    return sorted(level)
+
+
+def test_enumerate_mod_d_asc_matches_bfs():
+    for d in range(4):
+        for n in range(9):
+            assert hat.enumerate_mod_d_asc(n, d) == _mod_d_asc_bfs(n, d)
+
+
+def test_hat_tree_refuses_words_past_a_byte():
+    # the fold state holds one entry per byte; no such n could finish anyway
+    with pytest.raises(ValueError, match="at most 255"):
+        hat.enumerate_modinv(256)
+    with pytest.raises(ValueError, match="at most 255"):
+        hat.enumerate_mod_d_asc(256, 0)
 
 
 def test_enumerate_mod_d_asc_small_example():
@@ -268,7 +300,10 @@ def test_enumerators_reject_negative_n():
         lambda: hat.enumerate_d_asc(-1, 0),
         lambda: hat.enumerate_mod_d_asc(-1, 0),
         lambda: hat.enumerate_weak_descent(-1),
+        lambda: hat.enumerate_modinv(-1),
         lambda: seqs.enumerate_cayley(-1),
+        lambda: seqs.enumerate_inversion(-1),
+        lambda: fishburn.enumerate_perms(-1),
     ):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             call()
