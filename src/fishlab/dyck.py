@@ -6,7 +6,7 @@ Paths are ASCII strings over U and D.
 
 from collections import Counter
 
-from .sequences import contains_word_pattern
+from .sequences import check_n, contains_word_pattern
 
 PATTERN_213 = (2, 1, 3)
 
@@ -50,6 +50,8 @@ def count_ddu_factor(path: str, d: int) -> int:
 
 def enumerate_dyck_paths(n: int):
     """All Dyck paths of semilength n."""
+    check_n(n)
+
     def grow(path, height, ups):
         if len(path) == 2 * n:
             yield path
@@ -59,12 +61,15 @@ def enumerate_dyck_paths(n: int):
         if height > 0:
             yield from grow(path + "D", height - 1, ups)
 
-    yield from grow("", 0, 0)
+    # returned, not yielded from, so that a bad n raises at the call
+    return grow("", 0, 0)
 
 
 def enumerate_avoiders_213(n: int):
     """All 213-avoiding permutations of [n]: first entry, then the larger
     values, then the smaller ones."""
+    check_n(n)
+
     def rec(values):
         if not values:
             yield ()
@@ -74,7 +79,8 @@ def enumerate_avoiders_213(n: int):
                 for right in rec(values[:i]):
                     yield (v,) + left + right
 
-    yield from rec(tuple(range(1, n + 1)))
+    # returned, not yielded from, so that a bad n raises at the call
+    return rec(tuple(range(1, n + 1)))
 
 
 OMEGA_ROOT = (1, 1)

@@ -3,7 +3,7 @@ subdiagonal permutations."""
 
 from itertools import permutations
 
-from .sequences import check_d, check_n, is_d_ascent_seq
+from .sequences import check_d, check_n
 
 SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
 
@@ -111,34 +111,30 @@ def active_site_gaps(p, d: int) -> tuple:
     return (0,) + tuple(i + 1 for i, v in enumerate(p) if v in active)
 
 
-def _max_is_active(flags, gap, below, d) -> bool:
-    """Whether a new maximum m inserted at gap is d-active, where below is
-    the index of m - 1 (-1 when there is none).  The values under m keep their activity, so
-    only the sweep's last step is left: m is active iff it lands right of
-    m - 1, or fewer than d active values sit between them."""
-    return gap > below or sum(flags[gap:below]) < d
-
-
 def phi_d(w, d: int) -> tuple:
     """Build a permutation by inserting each new maximum into the active
     site labeled by the corresponding letter of w.
 
-    Checks d and w once.  The activity of the entries is kept up to date
-    across insertions, and m - 1 sits where it was just inserted, so each
-    insertion is one scan of a list: O(n)."""
+    The new maximum m is d-active iff position m of w is a d-ascent, i.e.
+    a_m > a_{m-1} - d.  The entries under m keep their activity, and
+    a_{m-1} - 1 active entries lie left of m - 1 while a_m - 1 lie left of
+    m's gap.  So m lands right of m - 1 when a_m > a_{m-1}, and otherwise
+    left of it with a_{m-1} - a_m active entries between them.  The active
+    values, kept in position order, are thus one per d-ascent read so far,
+    and site a is the gap after the (a-1)-th of them.  Checks d, then
+    checks each letter of w as it reads it; each insertion is one index
+    and at most two list inserts: O(n)."""
     check_d(d)
-    if not is_d_ascent_seq(w, d):
-        raise ValueError(f"not a {d}-ascent sequence: {w}")
-    p, flags = [], []
-    below = -1  # the index of m - 1
+    p = []
+    act = []  # the active values, in position order
+    prev = 0  # so that position 1 is a d-ascent for every d >= 0
     for m, a in enumerate(w, 1):
-        gap = 0  # site 1; site s > 1 is the gap after the (s-1)-th active entry
-        for _ in range(a - 1):
-            gap = flags.index(True, gap) + 1
-        active = _max_is_active(flags, gap, below, d)
-        p.insert(gap, m)
-        flags.insert(gap, active)
-        below = gap
+        if not 1 <= a <= 1 + len(act):
+            raise ValueError(f"not a {d}-ascent sequence: {w}")
+        p.insert(p.index(act[a - 2]) + 1 if a > 1 else 0, m)
+        if a > prev - d:
+            act.insert(a - 1, m)
+        prev = a
     return tuple(p)
 
 
@@ -147,9 +143,10 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
 
     A depth-first search over the phi_d generating tree: a node is a
     permutation with the activity of its entries, and its children insert
-    the next maximum into each of its active sites.  Only members are
-    visited, at O(n) per node plus O(n) per child; the leaves are
-    collected and sorted into lexicographic order.
+    the next maximum into each of its active sites.  As in phi_d, the
+    child at site a of a node whose maximum sat at site b is active iff
+    a > b - d.  Only members are visited, at O(n) per node plus O(n) per
+    child; the leaves are collected and sorted into lexicographic order.
     """
     check_d(d)
     check_n(n)
@@ -157,18 +154,19 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
         return [()]
     out = []
 
-    def grow(p, flags, below):
-        # below is the index of m - 1: the gap it was inserted at
+    def grow(p, flags, b):
+        # b is the site that the maximum m - 1 was inserted at
         gaps = [0] + [i + 1 for i, active in enumerate(flags) if active]
         m = len(p) + 1
         if m == n:
             out.extend(p[:g] + (m,) + p[g:] for g in gaps)
             return
-        for g in gaps:
-            active = _max_is_active(flags, g, below, d)
-            grow(p[:g] + (m,) + p[g:], flags[:g] + (active,) + flags[g:], g)
+        for a, g in enumerate(gaps, 1):
+            grow(p[:g] + (m,) + p[g:], flags[:g] + (a > b - d,) + flags[g:], a)
 
-    grow((), (), -1)
+    # the root's last site is 0: site 1 of the empty permutation is then a
+    # d-ascent for every d >= 0
+    grow((), (), 0)
     out.sort()
     return out
 

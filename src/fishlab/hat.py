@@ -1,8 +1,10 @@
 """The modification operator, the d-hat and max-hat maps, and their inverse.
 
-hat_d folds the modification step over the d-ascent list of the input,
-computed once up front; intermediate words generally have different
-d-ascent sets, so the list must not be recomputed mid-fold.
+hat_d folds the modification step over the d-ascents of the input.  They
+are read from the input, letter by letter, never from the folded state:
+modify at position j changes only entries left of j, so when the fold
+reaches j the entry there is still the input letter a_j, while the entries
+left of it generally have a different d-ascent set from the input's.
 """
 
 from .sequences import (
@@ -24,20 +26,37 @@ def modify(w, j: int) -> tuple:
 
 
 def hat_d(w, d: int) -> tuple:
-    """modify folded over the d-ascent list of w, left to right.  Checks d
-    and w once, then runs one unchecked O(n^2) fold on a list."""
+    """modify folded over the d-ascents of w, left to right.  Checks d, then
+    reads w once, checking each letter as it is read: one O(n^2) pass on a
+    list, which lifts the entries >= a_j left of each d-ascent j."""
     check_d(d)
-    if not is_d_ascent_seq(w, d):
-        raise ValueError(f"not a {d}-ascent sequence: {w}")
-    return _fold(w, d_asc_set(w, d))
+    out = list(w)
+    dasc = 0
+    prev = 0  # so that position 1 is a d-ascent for every d >= 0
+    for j, a in enumerate(out):
+        if not 1 <= a <= 1 + dasc:
+            raise ValueError(f"not a {d}-ascent sequence: {w}")
+        if a > prev - d:
+            dasc += 1
+            for i in range(j):
+                if out[i] >= a:
+                    out[i] += 1
+        prev = a
+    return tuple(out)
 
 
 def hat_max(w) -> tuple:
     """hat_{n-1} of a length-n inversion sequence; a permutation of [n].
-    Checks w once, then folds over every position, all (n-1)-ascents: O(n^2)."""
-    if not is_inversion(w):
-        raise ValueError(f"not an inversion sequence: {w}")
-    return _fold(w, range(1, len(w) + 1))
+    Every position is an (n-1)-ascent, so one O(n^2) pass on a list lifts
+    the entries >= a_j left of every j, checking 1 <= a_j <= j as it reads."""
+    out = list(w)
+    for j, a in enumerate(out):
+        if not 1 <= a <= j + 1:
+            raise ValueError(f"not an inversion sequence: {w}")
+        for i in range(j):
+            if out[i] >= a:
+                out[i] += 1
+    return tuple(out)
 
 
 def hat_inv(g) -> tuple:

@@ -1,6 +1,8 @@
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishlab import burge, fishburn, fixtures, hat
 from fishlab import sequences as seqs
@@ -200,6 +202,77 @@ def test_phi_d_matches_from_scratch_insertion():
                 assert fishburn.phi_d(w, d) == _phi_d_from_scratch(w, d)
 
 
+# reference oracles: phi_d and enumerate_d_fishburn as they were before
+# they read the activity of each new maximum off the d-ascents: activity
+# flags on the entries, with the last step of the activity sweep redone
+# at every insertion
+def _max_is_active(flags, gap, below, d):
+    # below is the index of m - 1 (-1 when there is none)
+    return gap > below or sum(flags[gap:below]) < d
+
+
+def _phi_d_by_flags(w, d):
+    seqs.check_d(d)
+    if not seqs.is_d_ascent_seq(w, d):
+        raise ValueError(f"not a {d}-ascent sequence: {w}")
+    p, flags = [], []
+    below = -1
+    for m, a in enumerate(w, 1):
+        gap = 0
+        for _ in range(a - 1):
+            gap = flags.index(True, gap) + 1
+        active = _max_is_active(flags, gap, below, d)
+        p.insert(gap, m)
+        flags.insert(gap, active)
+        below = gap
+    return tuple(p)
+
+
+def _d_fishburn_flag_tree(n, d):
+    if n == 0:
+        return [()]
+    out = []
+
+    def grow(p, flags, below):
+        gaps = [0] + [i + 1 for i, active in enumerate(flags) if active]
+        m = len(p) + 1
+        if m == n:
+            out.extend(p[:g] + (m,) + p[g:] for g in gaps)
+            return
+        for g in gaps:
+            active = _max_is_active(flags, g, below, d)
+            grow(p[:g] + (m,) + p[g:], flags[:g] + (active,) + flags[g:], g)
+
+    grow((), (), -1)
+    out.sort()
+    return out
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def test_phi_d_matches_flags():
+    for d in range(4):
+        for n in range(8):
+            for w in hat.enumerate_d_asc(n, d):
+                assert fishburn.phi_d(w, d) == _phi_d_by_flags(w, d)
+        # every word of length <= 5 over [-1, n + 1]: mostly non-members
+        for n in range(6):
+            for w in product(range(-1, n + 2), repeat=n):
+                assert _outcome(fishburn.phi_d, w, d) == _outcome(_phi_d_by_flags, w, d)
+
+
+def test_enumerate_d_fishburn_matches_flag_tree():
+    for d in range(4):
+        for n in range(9):
+            assert fishburn.enumerate_d_fishburn(n, d) == _d_fishburn_flag_tree(n, d)
+
+
 def test_generators_reject_bad_arguments():
     with pytest.raises(ValueError):
         fishburn.enumerate_d_fishburn(-1, 0)
@@ -304,3 +377,34 @@ def test_maps_accept_exactly_their_domains():
                 assert _accepts(hat.hat_d, w, d) == (w in dasc)
                 assert _accepts(fishburn.phi_d, w, d) == (w in dasc)
 
+
+@st.composite
+def words_near_d_ascent(draw, max_n=9, max_d=4):
+    """(w, d): a d-ascent sequence of length n <= max_n, d <= max_d, with
+    one letter replaced by any value in [-1, n + 1] half the time."""
+    n = draw(st.integers(0, max_n))
+    d = draw(st.integers(0, max_d))
+    w, dasc, prev = [], 0, 0
+    for _ in range(n):
+        a = draw(st.integers(1, 1 + dasc))
+        if a > prev - d:
+            dasc += 1
+        w.append(a)
+        prev = a
+    if n and draw(st.booleans()):
+        w[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n + 1))
+    return tuple(w), d
+
+
+@settings(max_examples=300)
+@given(words_near_d_ascent())
+def test_maps_accept_exactly_their_domains_past_length_4(wd):
+    w, d = wd
+    member = seqs.is_d_ascent_seq(w, d)
+    assert _accepts(hat.hat_d, w, d) == member
+    assert _accepts(fishburn.phi_d, w, d) == member
+    assert _accepts(hat.hat_max, w) == seqs.is_inversion(w)
+    if member:
+        image = hat.hat_d(w, d)
+        assert hat.hat_inv(image) == w
+        assert burge.burget(image) == fishburn.phi_d(w, d)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishlab import fishburn, fixtures, hat
+from fishlab import dyck, fishburn, fixtures, hat
 from fishlab import sequences as seqs
 
 
@@ -279,6 +279,24 @@ def _bad_words(max_n=5):
         yield from product(range(-1, n + 2), repeat=n)
 
 
+# reference oracle: hat_d as it was before it checked w while folding: the
+# whole word checked first, then folded over its d-ascent set
+def _hat_d_fold_over_d_asc_set(w, d):
+    seqs.check_d(d)
+    if not seqs.is_d_ascent_seq(w, d):
+        raise ValueError(f"not a {d}-ascent sequence: {w}")
+    return hat._fold(w, seqs.d_asc_set(w, d))
+
+
+def test_hat_d_matches_fold_over_d_asc_set():
+    for d in range(4):
+        for n in range(8):
+            for w in hat.enumerate_d_asc(n, d):
+                assert hat.hat_d(w, d) == _hat_d_fold_over_d_asc_set(w, d)
+        for w in _bad_words():
+            assert _outcome(hat.hat_d, w, d) == _outcome(_hat_d_fold_over_d_asc_set, w, d)
+
+
 def test_hat_max_matches_modify_fold():
     for n in range(8):
         for w in seqs.enumerate_inversion(n):
@@ -304,6 +322,8 @@ def test_enumerators_reject_negative_n():
         lambda: seqs.enumerate_cayley(-1),
         lambda: seqs.enumerate_inversion(-1),
         lambda: fishburn.enumerate_perms(-1),
+        lambda: dyck.enumerate_dyck_paths(-1),
+        lambda: dyck.enumerate_avoiders_213(-1),
     ):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             call()
