@@ -66,6 +66,11 @@ def serialize_seq(w) -> str:
     return (_line_format(len(w)) % tuple(w))[:-1]
 
 
+# bytes.translate table from a word of one byte per entry, its words joined
+# by 0, to its lines: 0 -> newline, v -> the digit of v for v <= 9
+_DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
+
+
 def _families(n, d):
     if n is None:
         raise ValueError
@@ -73,8 +78,9 @@ def _families(n, d):
         d = 0
     return {
         "dasc": lambda: hat.enumerate_d_asc(n, d),
-        "modasc": lambda: hat.enumerate_mod_d_asc(n, d),
-        "modinv": lambda: hat.enumerate_modinv(n),
+        # the hat tree's sorted byte leaves, which the writer takes as they are
+        "modasc": lambda: hat._hat_tree(n, d, d),
+        "modinv": lambda: hat._hat_tree(n, 0, max(n - 1, 0)),
         "wdesc": lambda: hat.enumerate_weak_descent(n),
         "fishburn": lambda: fishburn.enumerate_d_fishburn(n, d),
         "irsub": lambda: fishburn.enumerate_subdiagonal(n, "increasing-runs"),
@@ -139,6 +145,10 @@ def enumerate_cost(family: str, n: int, d: int) -> int:
 
 @_usage_errors
 def cmd_enumerate(args, out) -> int:
+    """Write the members of a family, one line each, in the order its
+    generator gives them: the entries run together for n <= 9, as bytes
+    one per entry, translated to digits a chunk at a time; comma-separated,
+    by a %-format per line, from n = 10 on."""
     _require_nonnegative(n=args.n, d=args.d)
     if args.n > max_n():
         raise UsageError(f"n exceeds the configured maximum {max_n()}")
@@ -150,11 +160,18 @@ def cmd_enumerate(args, out) -> int:
             f"--n {args.n} too large for family {args.family}: it would examine "
             f"{cost} or more objects, the limit is {ENUMERATE_MAX_COST}"
         )
-    words = _families(args.n, args.d)[args.family]()
-    # one write; the lines are joined 4096 at a time, until none is left (no
-    # line is empty), so that they never all exist as separate strings
-    lines = map(_line_format(args.n).__mod__, words)
-    out.write("".join(iter(lambda: "".join(islice(lines, 4096)), "")))
+    words = iter(_families(args.n, args.d)[args.family]())
+    # one write, of text made 4096 words at a time, so that the lines never
+    # all exist as separate objects
+    if args.n <= 9:
+        # bytes(w) is w itself for a byte leaf; each chunk is one translate.
+        # The chunks end at an empty list, as at n = 0 every word is empty
+        chunks = iter(lambda: list(map(bytes, islice(words, 4096))), [])
+        text = ((b"\0".join(c) + b"\0").translate(_DIGIT_LINES).decode() for c in chunks)
+    else:
+        lines = map(_line_format(args.n).__mod__, words)
+        text = iter(lambda: "".join(islice(lines, 4096)), "")
+    out.write("".join(text))
     return 0
 
 

@@ -28,8 +28,9 @@ def d_active_elements(p, d: int) -> frozenset:
     active = set()
     prev = -1  # the position of k - 1
     for k, i in enumerate(pos, 1):
-        # active values so far are all < k, hence in the k-restriction
-        if i > prev or sum(flags[i + 1 : prev]) < d:
+        # active values so far are all < k, hence in the k-restriction; at
+        # d = 0 none between k and k - 1 can be too few
+        if i > prev or (d and sum(flags[i + 1 : prev]) < d):
             flags[i] = True
             active.add(k)
         prev = i
@@ -107,7 +108,10 @@ def contains_mesh_a(p) -> bool:
 def active_site_gaps(p, d: int) -> tuple:
     """Gap indices (0..n) that are active: the gap before p and the gap
     just after each d-active element."""
-    active = d_active_elements(p, d)
+    return _site_gaps(p, d_active_elements(p, d))
+
+
+def _site_gaps(p, active) -> tuple:
     return (0,) + tuple(i + 1 for i, v in enumerate(p) if v in active)
 
 
@@ -173,15 +177,20 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
 
 def phi_d_parent(p, d: int):
     """Remove the maximum from p; return the parent and the 1-based label
-    of the active site of the parent that held it."""
+    of the active site of the parent that held it.
+
+    One activity sweep, over p: the sweep never sees n before its last
+    step, so every other entry is as active in the parent as in p."""
     if not p:
         raise ValueError("the empty permutation has no parent")
-    if not is_d_fishburn(p, d):
+    bottoms = _ascent_bottoms(p)
+    active = d_active_elements(p, d)
+    if not bottoms <= active:
         raise ValueError(f"not a {d}-Fishburn permutation: {p}")
     n = len(p)
     gap = p.index(n)
     parent = tuple(v for v in p if v != n)
-    gaps = active_site_gaps(parent, d)
+    gaps = _site_gaps(parent, active)
     if gap not in gaps:
         raise ValueError(f"maximum of {p} does not sit in an active site")
     return parent, gaps.index(gap) + 1

@@ -47,15 +47,20 @@ def hat_d(w, d: int) -> tuple:
 
 def hat_max(w) -> tuple:
     """hat_{n-1} of a length-n inversion sequence; a permutation of [n].
-    Every position is an (n-1)-ascent, so one O(n^2) pass on a list lifts
-    the entries >= a_j left of every j, checking 1 <= a_j <= j as it reads."""
-    out = list(w)
-    for j, a in enumerate(out):
-        if not 1 <= a <= j + 1:
+
+    Every position is an (n-1)-ascent, so modify runs at every j: it makes
+    the first j entries a permutation of [j] with a_j at j, and the later
+    steps keep their relative order.  So p_j is the a_j-th smallest of the
+    values not used right of j.  One right-to-left pass pops it from the
+    sorted unused values, checking 1 <= a_j <= j before each pop: n list
+    pops, O(n^2) at worst."""
+    avail = list(range(1, len(w) + 1))
+    out = [0] * len(w)
+    for j in range(len(w), 0, -1):
+        a = w[j - 1]
+        if not 1 <= a <= j:
             raise ValueError(f"not an inversion sequence: {w}")
-        for i in range(j):
-            if out[i] >= a:
-                out[i] += 1
+        out[j - 1] = avail.pop(a - 1)
     return tuple(out)
 
 
@@ -133,13 +138,14 @@ def enumerate_d_asc(n: int, d: int):
 
 def enumerate_mod_d_asc(n: int, d: int) -> list:
     """All modified d-ascent sequences of length n, as a sorted list: the
-    hat_d images of the d-ascent sequences, as the leaves of _hat_tree(n, d, d).
+    hat_d images of the d-ascent sequences, as the leaves of _hat_tree(n, d, d)
+    made tuples.
 
     O(n) per node of the d-ascent sequence tree; neither hat_d nor a
     d-ascent sequence is ever built."""
     check_n(n)
     check_d(d)
-    return _hat_tree(n, d, d)
+    return _as_tuples(_hat_tree(n, d, d))
 
 
 def enumerate_weak_descent(n: int):
@@ -160,18 +166,26 @@ def enumerate_weak_descent(n: int):
 def enumerate_modinv(n: int) -> list:
     """All modified inversion sequences of length n, as a sorted list: the
     union of the hat orbits of the inversion sequences, as the leaves of
-    _hat_tree(n, 0, n - 1).
+    _hat_tree(n, 0, n - 1) made tuples.
 
     Every inversion sequence is an (n-1)-ascent sequence and hat_d is
     constant from d = n - 1 on, so the orbits over d <= n - 1 hold every
     image.  O(n) per node, with 1.14 nodes per member at n = 8."""
     check_n(n)
-    return _hat_tree(n, 0, max(n - 1, 0))
+    return _as_tuples(_hat_tree(n, 0, max(n - 1, 0)))
+
+
+def _as_tuples(leaves: list) -> list:
+    """The byte strings of leaves made tuples, in place."""
+    for i, h in enumerate(leaves):
+        leaves[i] = tuple(h)  # frees each byte string as its tuple is made
+    return leaves
 
 
 def _hat_tree(n: int, lo: int, hi: int) -> list:
     """The hat_d images of the d-ascent sequences of length n, for every d
-    in [lo, hi], each image once, as a sorted list.
+    in [lo, hi], each image once, as a sorted list of byte strings, one
+    byte per entry: bytes(w) for each image w.
 
     modify at position j changes only entries left of j, so the fold state
     of a prefix is the hat of that prefix, shared by every word with that
@@ -184,11 +198,11 @@ def _hat_tree(n: int, lo: int, hi: int) -> list:
     which are the nubs of their images, so no image comes out twice.
 
     h is a byte string, one byte per entry, as no entry passes n: a lift is
-    one bytes.translate, and the leaves sort as bytes.  O(n) per node.
-    Unchecked, but for the byte range: n <= 255, far past any n whose
-    members fit in memory."""
+    one bytes.translate, the leaves sort as bytes, and `enumerate` writes
+    them with no tuple in between.  O(n) per node.  Unchecked, but for the
+    byte range: n <= 255, far past any n whose members fit in memory."""
     if n == 0:
-        return [()]
+        return [b""]
     if n > 255:
         raise ValueError(f"n must be at most 255, got {n}")
     # lift[a] maps v to v + 1 for a <= v < n, the entries a lift meets
@@ -218,6 +232,4 @@ def _hat_tree(n: int, lo: int, hi: int) -> list:
     # d-ascent for every d >= 0
     grow(b"", 0, 0, lo, hi)
     out.sort()
-    for i, h in enumerate(out):
-        out[i] = tuple(h)  # frees each byte string as its tuple is made
     return out

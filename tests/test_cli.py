@@ -54,6 +54,46 @@ def test_enumerate_output_is_pinned(family):
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_GOLDEN_SHA256[family]
 
 
+# sha256 of the stdout of `enumerate --family F --n N`, run for each d <= 2
+# in turn and concatenated (d = 0 alone at n = 9, where d = 1 passes the cost
+# cap), for families that take one; computed before words of length <= 9
+# went to stdout as bytes.  n = 9 is the last length written as digits run
+# together, and n = 10 is written comma-separated
+ENUMERATE_LARGE_SHA256 = {
+    ("dasc", 0): "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+    ("drsub", 0): "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    ("fishburn", 0): "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+    ("irsub", 0): "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    ("modasc", 0): "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+    ("modinv", 0): "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    ("wdesc", 0): "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    ("dasc", 8): "17492d584bf912cc8b19154810dc7e8453e95380adc055997582e343c06a2656",
+    ("drsub", 8): "8a2f3f1f4f2462da680d1431de78f23fcda64a17907eb1dbe1cbd7dfbd6807bf",
+    ("fishburn", 8): "01ef85606f938c946eeda15415621c2e2b9e1ea8e412602a40b40cff04bfdde8",
+    ("irsub", 8): "d3d251758c9384f897b0f283c83c6d07de3a7ee85e809bf22a2933fd374af69c",
+    ("modasc", 8): "633d8409a73a79ad5ebb471bc95fa909efd1c4e0c1fb9a85b21b3e349992ceb2",
+    ("modinv", 8): "3dc7296450aa9ddb613d95e9ffb84837bde9f536c9eae66e19314f5bb06cfeed",
+    ("wdesc", 8): "33ae75cd20cf8c804cf3d4e673771282163429848a086f77e32fb4b2b1e93306",
+    ("dasc", 9): "26df085c24ff57970d79469e8024ff3ec7930562f2b4d20de443def47acbaa02",
+    ("fishburn", 9): "b54572714bdaa00d19747aca6f7e6a046ab7fb5c010837aee3d6d07bffebd4bd",
+    ("irsub", 9): "512918ddaa3185dcb3cfd566bece0ca283f8988a0bac51ae486ef27cde9e6f82",
+    ("modasc", 9): "1e5fcb0ccf020f28e4ba1877c68f2118fa6b645a22e47a7c90f71bf2b698fd80",
+    ("drsub", 10): "802f4980a70e5ecec480144f38a9ec54d7aa66b9c7152784806c69502e8584bb",
+    ("wdesc", 10): "87c4da282cb29c6f1c71fe70819f9af70664ead452a80bb011e0fc23af9de12d",
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(ENUMERATE_LARGE_SHA256))
+def test_enumerate_large_output_is_pinned(family, n):
+    ds = range(3) if n != 9 else range(1)
+    text = ""
+    for d_args in [["--d", str(d)] for d in ds] if family in ("dasc", "modasc", "fishburn") else [[]]:
+        code, out = run(["enumerate", "--family", family, "--n", str(n)] + d_args)
+        assert code == 0
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_LARGE_SHA256[family, n]
+
+
 def test_enumerate_dasc():
     code, text = run(["enumerate", "--family", "dasc", "--n", "3", "--d", "0"])
     assert code == 0

@@ -348,8 +348,31 @@ def test_check_perm_runs_once_per_permutation(monkeypatch):
     assert checked == [p]
     checked.clear()
     fishburn.phi_d_parent(p, 1)
-    # once for p, and once for its parent inside active_site_gaps
-    assert checked == [p, (3, 1, 2)]
+    # the parent's activity is read off p's, so the parent is not checked
+    assert checked == [p]
+
+
+# reference oracle: phi_d_parent as it was before it read the parent's
+# active sites off p's activity: a second sweep, over the parent
+def _phi_d_parent_two_sweeps(p, d):
+    if not p:
+        raise ValueError("the empty permutation has no parent")
+    if not fishburn.is_d_fishburn(p, d):
+        raise ValueError(f"not a {d}-Fishburn permutation: {p}")
+    n = len(p)
+    gap = p.index(n)
+    parent = tuple(v for v in p if v != n)
+    gaps = fishburn.active_site_gaps(parent, d)
+    if gap not in gaps:
+        raise ValueError(f"maximum of {p} does not sit in an active site")
+    return parent, gaps.index(gap) + 1
+
+
+def test_phi_d_parent_matches_two_sweeps():
+    for d in range(4):
+        for n in range(8):
+            for p in permutations(range(1, n + 1)):
+                assert _outcome(fishburn.phi_d_parent, p, d) == _outcome(_phi_d_parent_two_sweeps, p, d)
 
 
 def _accepts(f, *args):
