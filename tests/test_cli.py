@@ -94,6 +94,32 @@ def test_enumerate_large_output_is_pinned(family, n):
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_LARGE_SHA256[family, n]
 
 
+# sha256 of the stdout of `verify --suite S --n-max 6 --d-max 2` for each
+# suite (350 rows in all), and of `verify --suite all --n-max 4 --d-max 1`;
+# computed before the suites became one claim registry
+VERIFY_GOLDEN_SHA256 = {
+    ("hat", 6, 2): "d57ee92565ff7da769905651d2d09ab1a68d6c471511fa8f16675b90ee4937ba",
+    ("orbit", 6, 2): "96c32300d0fd578934b3dec3c909742ebc78e041904656a204d02a809ada7a1c",
+    ("stats", 6, 2): "75a643a969f6c1d3c3c780db892e3d57c528da1dadb7d3b2de3b1547f35cf374",
+    ("burge", 6, 2): "12e7248392514a1edbfc3efc119092a413862124cd454432496e040097c52e4b",
+    ("phi", 6, 2): "8c98f916a3bd33835bc15ce40bd71560ef4e609ce68f68152cd7bcf33a3497e5",
+    ("subdiag", 6, 2): "d2a29eeff487b1b86e3f7aa7f9513269eeba26126d5dd8fc75515fd715d702bc",
+    ("trees", 6, 2): "39cc58106173b80355b2ed097eb648ef1d1aa33a17b3e90463f6eec214341244",
+    ("dyck", 6, 2): "d08a32467b3281282e3da2dc8fcb5c82e57809fa84f204e30fc090bdc19f3bb6",
+    ("series", 6, 2): "c62a103bb732cb83213334eb27e0f8d63e64824f411f5638b4c1bc4d8a7fc6f2",
+    ("all", 4, 1): "60e9e1353d10771874a2956e57236501213cb36ffe33b7c1551edb3512121225",
+}
+
+
+@pytest.mark.parametrize("suite, n_max, d_max", sorted(VERIFY_GOLDEN_SHA256))
+def test_verify_output_is_pinned(suite, n_max, d_max):
+    argv = ["verify", "--suite", suite, "--n-max", str(n_max), "--d-max", str(d_max)]
+    code, text = run(argv)
+    assert code == 0
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == VERIFY_GOLDEN_SHA256[suite, n_max, d_max]
+
+
 def test_enumerate_dasc():
     code, text = run(["enumerate", "--family", "dasc", "--n", "3", "--d", "0"])
     assert code == 0
