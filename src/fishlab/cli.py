@@ -176,11 +176,11 @@ def cmd_enumerate(args, out) -> int:
 
 
 def _json_default(value):
+    """Reports hold sets only as digests, so the one type json lacks is the
+    Fraction of a series coefficient."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    return list(value)
+    raise TypeError(f"not JSON serializable: {value!r}")
 
 
 def _print_reports(reports, out):
@@ -265,10 +265,6 @@ def cmd_explore(args, out) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fishlab")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker hint; output is identical for every value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the members of a family")

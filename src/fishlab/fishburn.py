@@ -108,10 +108,7 @@ def contains_mesh_a(p) -> bool:
 def active_site_gaps(p, d: int) -> tuple:
     """Gap indices (0..n) that are active: the gap before p and the gap
     just after each d-active element."""
-    return _site_gaps(p, d_active_elements(p, d))
-
-
-def _site_gaps(p, active) -> tuple:
+    active = d_active_elements(p, d)
     return (0,) + tuple(i + 1 for i, v in enumerate(p) if v in active)
 
 
@@ -180,20 +177,18 @@ def phi_d_parent(p, d: int):
     of the active site of the parent that held it.
 
     One activity sweep, over p: the sweep never sees n before its last
-    step, so every other entry is as active in the parent as in p."""
+    step, so every other entry is as active in the parent as in p.  The
+    entry left of n is an ascent bottom, hence active once p is
+    d-Fishburn, so n sits in the site right after it, and the label is 1
+    plus the number of active values left of n."""
     if not p:
         raise ValueError("the empty permutation has no parent")
-    bottoms = _ascent_bottoms(p)
     active = d_active_elements(p, d)
-    if not bottoms <= active:
+    if not _ascent_bottoms(p) <= active:
         raise ValueError(f"not a {d}-Fishburn permutation: {p}")
     n = len(p)
     gap = p.index(n)
-    parent = tuple(v for v in p if v != n)
-    gaps = _site_gaps(parent, active)
-    if gap not in gaps:
-        raise ValueError(f"maximum of {p} does not sit in an active site")
-    return parent, gaps.index(gap) + 1
+    return tuple(v for v in p if v != n), 1 + len(active.intersection(p[:gap]))
 
 
 def _runs(p, increasing: bool):

@@ -41,6 +41,10 @@ MODASC_2 = {0: {(1, 1), (1, 2)}, 1: {(2, 1), (1, 2)}}
 # number of modified inversion sequences of length n = 0..8
 MODINV_COUNTS = [1, 1, 3, 10, 43, 224, 1396, 10136, 84057]
 
+# the Fishburn numbers, n = 0..8: ascent sequences and Fishburn
+# permutations of length n (Bousquet-Mélou, Claesson, Dukes, Kitaev, JCTA 2010)
+FISHBURN_NUMBERS = [1, 1, 2, 5, 15, 53, 217, 1014, 5335]
+
 # number of 213-avoiding d-Fishburn permutations of length n = 0..12,
 # one row per d = 0..5
 TABLE_213 = {

@@ -38,9 +38,6 @@ class TruncSeries:
             return self.order == other.order and self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)}, order={self.order})"
 

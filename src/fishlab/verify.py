@@ -1,7 +1,17 @@
-"""Exhaustive desk-scale verification suites.
+"""The paper's claims, each registered once, and the runner that checks them.
 
-Each suite is a function (n_max, d_max) -> list of report dicts with
-keys check, n, d, expected, actual, pass, elapsed_ms.  Expected values
+A registry entry is a Claim: the suite it belongs to, the names of the
+claims it checks, a grid and a check.  The grid maps (n_max, d_max) to the
+points the check runs at, each a pair (n, d), with None for a size the
+check does not take.  The check maps one point to its report rows
+(claim, n, d, expected, actual), one per claim name, so that claims about
+one input, such as the d-ascent words and their hats, are checked from one
+build of it per point.  `fishlab verify --suite S` runs the entries of S
+in the order they are registered here, `--suite all` every entry, and
+tests/test_acceptance.py runs each entry at its acceptance size.
+
+A report is a dict with keys check, n, d, expected, actual, pass and
+elapsed_ms, the time since the previous row of its entry.  Expected values
 sourced from outside the library live in fixtures.py.
 """
 
@@ -10,262 +20,295 @@ import math
 import random
 import time
 from collections import Counter
+from typing import Callable, NamedTuple
 
 from . import burge, dyck, fishburn, fixtures, hat, series
 from . import sequences as seqs
 
+# elements of each set difference that a failing report shows
+WITNESSES = 3
 
-def _digest(value):
-    """Order-independent digest: sets reduce to their size plus a hash of
-    the sorted serialization, so reports stay small and comparable."""
-    if isinstance(value, (set, frozenset)):
-        data = repr(sorted(value)).encode()
-        return {"count": len(value), "sha256": hashlib.sha256(data).hexdigest()[:16]}
-    return value
+
+def _digest(value, other):
+    """Order-independent digest: a set reduces to its size plus a hash of
+    its sorted serialization, so reports stay small and comparable.  When
+    other is a different set, the digest also names a witness: the
+    smallest WITNESSES elements of value that other lacks."""
+    if not isinstance(value, (set, frozenset)):
+        return value
+    data = repr(sorted(value)).encode()
+    digest = {"count": len(value), "sha256": hashlib.sha256(data).hexdigest()[:16]}
+    if isinstance(other, (set, frozenset)) and value != other:
+        digest["witness"] = sorted(value - other)[:WITNESSES]
+    return digest
 
 
 def _report(check, n, d, expected, actual, start):
-    expected, actual = _digest(expected), _digest(actual)
     return {
         "check": check,
         "n": n,
         "d": d,
-        "expected": expected,
-        "actual": actual,
+        "expected": _digest(expected, actual),
+        "actual": _digest(actual, expected),
         "pass": expected == actual,
         "elapsed_ms": int((time.monotonic() - start) * 1000),
     }
 
 
-def suite_hat(n_max: int, d_max: int):
-    reports = []
-    for d in range(d_max + 1):
-        for n in range(min(n_max, d + 3) + 1):
-            start = time.monotonic()
-            expected = (
-                math.factorial(n) if n <= d + 2
-                else math.factorial(d + 3) - math.factorial(d)
-            )
-            actual = sum(1 for _ in hat.enumerate_d_asc(n, d))
-            reports.append(_report("dasc-cardinality", n, d, expected, actual, start))
-    for d in range(d_max + 1):
-        for n in range(n_max + 1):
-            start = time.monotonic()
-            words = list(hat.enumerate_d_asc(n, d))
-            images = [hat.hat_d(w, d) for w in words]
-            reports.append(_report(
-                "hat-image-equals-recursive", n, d,
-                set(hat.enumerate_mod_d_asc(n, d)), set(images), start))
-
-            start = time.monotonic()
-            ok = all(
-                seqs.is_cayley(h)
-                and seqs.nub(h) == seqs.d_asc_set(w, d)
-                and (max(h) if h else 0) == len(seqs.d_asc_set(w, d))
-                for w, h in zip(words, images)
-            )
-            reports.append(_report("hat-cayley-nub-max", n, d, True, ok, start))
-
-            start = time.monotonic()
-            ok = True
-            for w, h in zip(words, images):
-                if len(w) < 2:
-                    continue
-                lifted = w[-2] - d < w[-1] <= w[-2]
-                want = (w[-2] + 1, w[-1]) if lifted else (w[-2], w[-1])
-                ok = ok and h[-2:] == want
-            reports.append(_report("hat-last-two-letters", n, d, True, ok, start))
-
-            start = time.monotonic()
-            ok = all(hat.hat_inv(h) == w for w, h in zip(words, images))
-            reports.append(_report("hat-inv-roundtrip", n, d, True, ok, start))
-    for n in range(min(n_max, 8) + 1):
-        start = time.monotonic()
-        by_char = {
-            c for c in seqs.enumerate_cayley(n)
-            if seqs.asc_set(c) == seqs.nub(c)
-        }
-        reports.append(_report(
-            "modasc0-characterization", n, 0,
-            by_char, set(hat.enumerate_mod_d_asc(n, 0)), start))
-    return reports
+class Claim(NamedTuple):
+    suite: str
+    names: tuple
+    grid: Callable  # (n_max, d_max) -> [(n, d), ...]
+    check: Callable  # (n, d) -> rows (claim, n, d, expected, actual)
 
 
-def suite_orbit(n_max: int, d_max: int):
-    reports = []
-    for n in range(n_max + 1):
-        start = time.monotonic()
-        disjoint, roundtrip = True, True
-        seen = {}
-        for w in seqs.enumerate_inversion(n):
-            for _, image in hat.h_orbit(w):
-                if image in seen and seen[image] != w:
-                    disjoint = False
-                seen[image] = w
-                roundtrip = roundtrip and hat.hat_inv(image) == w
-        reports.append(_report("orbit-disjoint", n, None, True, disjoint, start))
-        start = time.monotonic()
-        reports.append(_report("orbit-hatinv-recovers", n, None, True, roundtrip, start))
-    for n in range(min(n_max, 8) + 1):
-        start = time.monotonic()
-        reports.append(_report(
-            "modinv-count", n, None,
-            fixtures.MODINV_COUNTS[n], len(hat.enumerate_modinv(n)), start))
-    return reports
+REGISTRY = []
 
 
-def suite_stats(n_max: int, d_max: int):
-    reports = []
-    for n in range(n_max + 1):
-        start = time.monotonic()
-        ok = True
-        for w in seqs.enumerate_inversion(n):
-            for _, g in hat.h_orbit(w):
-                ok = ok and (
-                    seqs.asc_set(g) == seqs.asc_set(w)
-                    and seqs.wdes_set(g) == seqs.wdes_set(w)
-                    and seqs.rl_min_pairs(g) == seqs.rl_min_pairs(w)
-                )
-        reports.append(_report("orbit-preserves-stats", n, None, True, ok, start))
-    return reports
+def _claim(suite, names, grid):
+    """Register the decorated check for the space-separated claim names."""
+    def register(check):
+        REGISTRY.append(Claim(suite, tuple(names.split()), grid, check))
+        return check
+    return register
 
 
-def suite_burge(n_max: int, d_max: int):
-    reports = []
-    start = time.monotonic()
+def _each_n(cap=math.inf, d=None):
+    """The grid (n, d) for every n <= n_max that is at most cap."""
+    return lambda n_max, d_max: [(n, d) for n in range(min(n_max, cap) + 1)]
+
+
+def _each_d_n(n_max, d_max):
+    return [(n, d) for d in range(d_max + 1) for n in range(n_max + 1)]
+
+
+def _fixed(*points):
+    return lambda n_max, d_max: list(points)
+
+
+# ------------------------------------------------------------------- hat
+
+@_claim("hat", "dasc-cardinality", lambda n_max, d_max: [
+    (n, d) for d in range(d_max + 1) for n in range(min(n_max, d + 3) + 1)
+])
+def _dasc_cardinality(n, d):
+    expected = (
+        math.factorial(n) if n <= d + 2
+        else math.factorial(d + 3) - math.factorial(d)
+    )
+    actual = sum(1 for _ in hat.enumerate_d_asc(n, d))
+    yield "dasc-cardinality", n, d, expected, actual
+
+
+@_claim(
+    "hat",
+    "hat-image-equals-recursive hat-cayley-nub-max hat-last-two-letters hat-inv-roundtrip",
+    _each_d_n,
+)
+def _hat_images(n, d):
+    words = list(hat.enumerate_d_asc(n, d))
+    images = [hat.hat_d(w, d) for w in words]
+    yield (
+        "hat-image-equals-recursive", n, d,
+        set(hat.enumerate_mod_d_asc(n, d)), set(images),
+    )
+    yield "hat-cayley-nub-max", n, d, True, all(
+        seqs.is_cayley(h)
+        and seqs.nub(h) == seqs.d_asc_set(w, d)
+        and (max(h) if h else 0) == len(seqs.d_asc_set(w, d))
+        for w, h in zip(words, images)
+    )
+    # the last letter lifts the one before it exactly when it is a d-ascent
+    # that is not an ascent
+    yield "hat-last-two-letters", n, d, True, all(
+        h[-2:] == (w[-2] + (w[-2] - d < w[-1] <= w[-2]), w[-1])
+        for w, h in zip(words, images) if len(w) >= 2
+    )
+    yield "hat-inv-roundtrip", n, d, True, all(
+        hat.hat_inv(h) == w for w, h in zip(words, images)
+    )
+
+
+@_claim("hat", "modasc0-characterization", _each_n(8, d=0))
+def _modasc0_characterization(n, d):
+    by_char = {
+        c for c in seqs.enumerate_cayley(n)
+        if seqs.asc_set(c) == seqs.nub(c)
+    }
+    yield "modasc0-characterization", n, d, by_char, set(hat.enumerate_mod_d_asc(n, 0))
+
+
+# ----------------------------------------------------------------- orbit
+
+@_claim("orbit", "orbit-disjoint orbit-hatinv-recovers", _each_n())
+def _orbits(n, d):
+    disjoint, roundtrip = True, True
+    seen = {}
+    for w in seqs.enumerate_inversion(n):
+        for _, image in hat.h_orbit(w):
+            disjoint = disjoint and seen.setdefault(image, w) == w
+            roundtrip = roundtrip and hat.hat_inv(image) == w
+    yield "orbit-disjoint", n, d, True, disjoint
+    yield "orbit-hatinv-recovers", n, d, True, roundtrip
+
+
+@_claim("orbit", "modinv-count", _each_n(8))
+def _modinv_count(n, d):
+    yield "modinv-count", n, d, fixtures.MODINV_COUNTS[n], len(hat.enumerate_modinv(n))
+
+
+# ----------------------------------------------------------------- stats
+
+@_claim("stats", "orbit-preserves-stats", _each_n())
+def _orbit_stats(n, d):
+    ok = all(
+        seqs.asc_set(g) == seqs.asc_set(w)
+        and seqs.wdes_set(g) == seqs.wdes_set(w)
+        and seqs.rl_min_pairs(g) == seqs.rl_min_pairs(w)
+        for w in seqs.enumerate_inversion(n)
+        for _, g in hat.h_orbit(w)
+    )
+    yield "orbit-preserves-stats", n, d, True, ok
+
+
+# ----------------------------------------------------------------- burge
+
+@_claim("burge", "transpose-involution", _fixed((None, None)))
+def _transpose_involution(n, d):
     rng = random.Random(0)
     ok = True
     for _ in range(200):
-        n = rng.randint(1, 8)
+        size = rng.randint(1, 8)
         while True:
-            k = rng.randint(1, n)
-            word = tuple(rng.randint(1, k) for _ in range(n))
+            k = rng.randint(1, size)
+            word = tuple(rng.randint(1, k) for _ in range(size))
             if seqs.is_cayley(word):
                 break
-        tableau = (tuple(range(1, n + 1)), word)
+        tableau = (tuple(range(1, size + 1)), word)
         once = burge.burge_transpose(*tableau)
         ok = ok and burge.burge_transpose(*once) == tableau
-    reports.append(_report("transpose-involution", None, None, True, ok, start))
-    for n in range(min(n_max, 6) + 1):
-        start = time.monotonic()
-        ok = all(
-            burge.burget(p) == tuple(sorted(range(1, n + 1), key=lambda v: p[v - 1]))
-            for p in fishburn.enumerate_perms(n)
-        )
-        reports.append(_report("burget-inverts-perms", n, None, True, ok, start))
-    for d in range(d_max + 1):
-        for n in range(n_max + 1):
-            start = time.monotonic()
-            images = [burge.burget(h) for h in hat.enumerate_mod_d_asc(n, d)]
-            reports.append(_report(
-                "burget-injective-on-modasc", n, d,
-                len(images), len(set(images)), start))
-    return reports
+    yield "transpose-involution", n, d, True, ok
 
 
-def suite_phi(n_max: int, d_max: int):
-    reports = []
-    for d in range(d_max + 1):
-        for n in range(n_max + 1):
-            start = time.monotonic()
-            words = list(hat.enumerate_d_asc(n, d))
-            via_phi = {w: fishburn.phi_d(w, d) for w in words}
-            ok = all(
-                via_phi[w] == burge.burget(hat.hat_d(w, d)) for w in words
-            )
-            reports.append(_report("phi-equals-burget-hat", n, d, True, ok, start))
-
-            start = time.monotonic()
-            by_membership = {
-                p for p in fishburn.enumerate_perms(n) if fishburn.is_d_fishburn(p, d)
-            }
-            reports.append(_report(
-                "fishburn-equals-phi-image", n, d,
-                by_membership, set(via_phi.values()), start))
-
-            start = time.monotonic()
-            by_pattern = {
-                p for p in fishburn.enumerate_perms(n)
-                if not fishburn.contains_fishburn_pattern(p, d)
-            }
-            reports.append(_report(
-                "fishburn-equals-pattern-class", n, d,
-                by_membership, by_pattern, start))
-    for n in range(n_max + 1):
-        start = time.monotonic()
-        count_f = sum(
-            1 for p in fishburn.enumerate_perms(n) if fishburn.is_d_fishburn(p, 0)
-        )
-        count_a = sum(1 for _ in hat.enumerate_d_asc(n, 0))
-        reports.append(_report("fishburn-number", n, 0, count_a, count_f, start))
-    return reports
+@_claim("burge", "burget-inverts-perms", _each_n(6))
+def _burget_inverts_perms(n, d):
+    ok = all(
+        burge.burget(p) == tuple(sorted(range(1, n + 1), key=lambda v: p[v - 1]))
+        for p in fishburn.enumerate_perms(n)
+    )
+    yield "burget-inverts-perms", n, d, True, ok
 
 
-def suite_subdiag(n_max: int, d_max: int):
-    reports = []
-    for n in range(n_max + 1):
-        start = time.monotonic()
-        irsub = {
-            p for p in fishburn.enumerate_perms(n)
-            if fishburn.subdiagonal(p, "increasing-runs")
-        }
-        image = {hat.hat_max(w) for w in hat.enumerate_d_asc(n, 0)}
-        reports.append(_report("hatmax-ascseq-is-irsub", n, None, irsub, image, start))
-
-        start = time.monotonic()
-        drsub = {
-            p for p in fishburn.enumerate_perms(n)
-            if fishburn.subdiagonal(p, "decreasing-runs")
-        }
-        image = {hat.hat_max(w) for w in hat.enumerate_weak_descent(n)}
-        reports.append(_report("hatmax-wdesc-is-drsub", n, None, drsub, image, start))
-
-        start = time.monotonic()
-        ok = all(
-            bool(seqs.flat_steps(w)) == fishburn.contains_mesh_a(hat.hat_max(w))
-            for w in seqs.enumerate_inversion(n)
-        )
-        reports.append(_report("flat-step-mesh-correspondence", n, None, True, ok, start))
-    for n in range(min(n_max, 7) + 1):
-        start = time.monotonic()
-        ok = True
-        for p in fishburn.enumerate_perms(n):
-            in_irsub = fishburn.subdiagonal(p, "increasing-runs")
-            nasc = len(seqs.asc_set(p))
-            in_drsub = fishburn.subdiagonal(p, "decreasing-runs")
-            nwdes = len(seqs.wdes_set(p))
-            for a in range(1, n + 2):
-                lifted = tuple(c + 1 if c >= a else c for c in p) + (a,)
-                want = in_irsub and a <= 1 + nasc
-                ok = ok and fishburn.subdiagonal(lifted, "increasing-runs") == want
-                want = in_drsub and a <= 1 + nwdes
-                ok = ok and fishburn.subdiagonal(lifted, "decreasing-runs") == want
-        reports.append(_report("subdiag-insertion-law", n, None, True, ok, start))
-    return reports
+@_claim("burge", "burget-injective-on-modasc", _each_d_n)
+def _burget_injective(n, d):
+    images = [burge.burget(h) for h in hat.enumerate_mod_d_asc(n, d)]
+    yield "burget-injective-on-modasc", n, d, len(images), len(set(images))
 
 
-def suite_trees(n_max: int, d_max: int):
-    reports = []
-    start = time.monotonic()
-    primitive = [
-        sum(1 for w in hat.enumerate_d_asc(n, 0) if not seqs.flat_steps(w))
-        for n in range(1, n_max + 1)
-    ]
-    reports.append(_report(
-        "omega-counts-primitive", n_max, None,
-        primitive, dyck.gen_tree_counts("Omega", n_max), start))
+# ------------------------------------------------------------------- phi
 
-    start = time.monotonic()
-    wdesc = [
-        sum(1 for _ in hat.enumerate_weak_descent(n)) for n in range(1, n_max + 1)
-    ]
-    reports.append(_report(
-        "theta-counts-wdesc", n_max, None,
-        wdesc, dyck.gen_tree_counts("Theta", n_max), start))
+@_claim(
+    "phi",
+    "phi-equals-burget-hat fishburn-equals-phi-image fishburn-equals-pattern-class",
+    _each_d_n,
+)
+def _phi(n, d):
+    words = list(hat.enumerate_d_asc(n, d))
+    images = [fishburn.phi_d(w, d) for w in words]
+    yield "phi-equals-burget-hat", n, d, True, all(
+        p == burge.burget(hat.hat_d(w, d)) for w, p in zip(words, images)
+    )
+    by_membership = {
+        p for p in fishburn.enumerate_perms(n) if fishburn.is_d_fishburn(p, d)
+    }
+    yield "fishburn-equals-phi-image", n, d, by_membership, set(images)
+    by_pattern = {
+        p for p in fishburn.enumerate_perms(n)
+        if not fishburn.contains_fishburn_pattern(p, d)
+    }
+    yield "fishburn-equals-pattern-class", n, d, by_membership, by_pattern
 
-    start = time.monotonic()
+
+@_claim("phi", "fishburn-number", _each_n(len(fixtures.FISHBURN_NUMBERS) - 1, d=0))
+def _fishburn_number(n, d):
+    by_perms = sum(
+        1 for p in fishburn.enumerate_perms(n) if fishburn.is_d_fishburn(p, d)
+    )
+    by_words = sum(1 for _ in hat.enumerate_d_asc(n, d))
+    # both counts are the published number; a disagreement shows both
+    actual = by_perms if by_perms == by_words else [by_perms, by_words]
+    yield "fishburn-number", n, d, fixtures.FISHBURN_NUMBERS[n], actual
+
+
+# --------------------------------------------------------------- subdiag
+
+@_claim(
+    "subdiag",
+    "hatmax-ascseq-is-irsub hatmax-wdesc-is-drsub flat-step-mesh-correspondence",
+    _each_n(),
+)
+def _hat_max_images(n, d):
+    irsub = {
+        p for p in fishburn.enumerate_perms(n)
+        if fishburn.subdiagonal(p, "increasing-runs")
+    }
+    image = {hat.hat_max(w) for w in hat.enumerate_d_asc(n, 0)}
+    yield "hatmax-ascseq-is-irsub", n, d, irsub, image
+    drsub = {
+        p for p in fishburn.enumerate_perms(n)
+        if fishburn.subdiagonal(p, "decreasing-runs")
+    }
+    image = {hat.hat_max(w) for w in hat.enumerate_weak_descent(n)}
+    yield "hatmax-wdesc-is-drsub", n, d, drsub, image
+    yield "flat-step-mesh-correspondence", n, d, True, all(
+        bool(seqs.flat_steps(w)) == fishburn.contains_mesh_a(hat.hat_max(w))
+        for w in seqs.enumerate_inversion(n)
+    )
+
+
+@_claim("subdiag", "subdiag-insertion-law", _each_n(7))
+def _insertion_law(n, d):
     ok = True
-    for a in range(1, 7):
+    for p in fishburn.enumerate_perms(n):
+        in_irsub = fishburn.subdiagonal(p, "increasing-runs")
+        nasc = len(seqs.asc_set(p))
+        in_drsub = fishburn.subdiagonal(p, "decreasing-runs")
+        nwdes = len(seqs.wdes_set(p))
+        for a in range(1, n + 2):
+            lifted = tuple(c + 1 if c >= a else c for c in p) + (a,)
+            want = in_irsub and a <= 1 + nasc
+            ok = ok and fishburn.subdiagonal(lifted, "increasing-runs") == want
+            want = in_drsub and a <= 1 + nwdes
+            ok = ok and fishburn.subdiagonal(lifted, "decreasing-runs") == want
+    yield "subdiag-insertion-law", n, d, True, ok
+
+
+# ----------------------------------------------------------------- trees
+
+def _at_n_max(n_max, d_max):
+    """The one point n_max, for the counts at depths 1..n_max of a tree."""
+    return [(n_max, None)] if n_max >= 1 else []
+
+
+@_claim("trees", "omega-counts-primitive", _at_n_max)
+def _omega_counts(n, d):
+    primitive = [
+        sum(1 for w in hat.enumerate_d_asc(m, 0) if not seqs.flat_steps(w))
+        for m in range(1, n + 1)
+    ]
+    yield "omega-counts-primitive", n, d, primitive, dyck.gen_tree_counts("Omega", n)
+
+
+@_claim("trees", "theta-counts-wdesc", _at_n_max)
+def _theta_counts(n, d):
+    wdesc = [sum(1 for _ in hat.enumerate_weak_descent(m)) for m in range(1, n + 1)]
+    yield "theta-counts-wdesc", n, d, wdesc, dyck.gen_tree_counts("Theta", n)
+
+
+@_claim("trees", "tree-iso-child-multisets", _fixed((None, None)))
+def _tree_iso(n, d):
+    ok = True
+    for a in range(1, 9):
         for ell in range(1, a + 1):
             image = dyck.tree_iso_map((a, ell), "omega-to-theta")
             ok = ok and dyck.tree_iso_map(image, "theta-to-omega") == (a, ell)
@@ -275,112 +318,107 @@ def suite_trees(n_max: int, d_max: int):
                 for c in dyck.omega_children((a, ell))
             )
             ok = ok and want == got
-    reports.append(_report("tree-iso-child-multisets", None, None, True, ok, start))
-    return reports
+    yield "tree-iso-child-multisets", n, d, True, ok
 
 
-def suite_dyck(n_max: int, d_max: int):
-    reports = []
-    for n in range(n_max + 1):
-        start = time.monotonic()
-        avoiders = list(dyck.enumerate_avoiders_213(n))
-        paths = {dyck.phi_213(p) for p in avoiders}
-        all_paths = set(dyck.enumerate_dyck_paths(n))
-        ok = len(paths) == len(avoiders) and paths == all_paths
-        reports.append(_report("phi213-bijective", n, None, True, ok, start))
+# ------------------------------------------------------------------ dyck
 
-        for d in range(d_max + 1):
-            start = time.monotonic()
-            ok = all(
-                fishburn.contains_sigma(p, d)
-                == (dyck.count_ddu_factor(dyck.phi_213(p), d) > 0)
-                for p in avoiders
-            )
-            reports.append(_report("sigma-factor-transfer", n, d, True, ok, start))
-
-            start = time.monotonic()
-            counts = Counter(
-                dyck.count_ddu_factor(r, d) for r in dyck.enumerate_dyck_paths(n)
-            )
-            ok = all(
-                sum(m * q**c for c, m in counts.items())
-                == series.series_Q(d, q - 1, n).coeffs[n]
-                for q in (-1, 0, 1, 2)
-            )
-            reports.append(_report("factor-distribution", n, d, True, ok, start))
-    return reports
+# a point (n, d_max): the avoiders of length n serve every d <= d_max
+@_claim(
+    "dyck",
+    "phi213-bijective sigma-factor-transfer factor-distribution",
+    lambda n_max, d_max: [(n, d_max) for n in range(n_max + 1)],
+)
+def _dyck(n, d_max):
+    avoiders = list(dyck.enumerate_avoiders_213(n))
+    paths = [dyck.phi_213(p) for p in avoiders]
+    all_paths = list(dyck.enumerate_dyck_paths(n))
+    image = set(paths)
+    ok = len(image) == len(avoiders) and image == set(all_paths)
+    yield "phi213-bijective", n, None, True, ok
+    for d in range(d_max + 1):
+        yield "sigma-factor-transfer", n, d, True, all(
+            fishburn.contains_sigma(p, d) == (dyck.count_ddu_factor(path, d) > 0)
+            for p, path in zip(avoiders, paths)
+        )
+        counts = Counter(dyck.count_ddu_factor(r, d) for r in all_paths)
+        yield "factor-distribution", n, d, True, all(
+            sum(m * q**c for c, m in counts.items())
+            == series.series_Q(d, q - 1, n).coeffs[n]
+            for q in (-1, 0, 1, 2)
+        )
 
 
-def suite_series(n_max: int, d_max: int):
-    reports = []
-    for d in range(6):
-        start = time.monotonic()
-        coeffs = [int(c) for c in series.series_Q(d, -1, 12).coeffs]
-        reports.append(_report(
-            "table-213-row", 12, d, fixtures.TABLE_213[d], coeffs, start))
+# ---------------------------------------------------------------- series
 
-    start = time.monotonic()
-    order = 12
-    x = series.TruncSeries.x(order)
+@_claim("series", "table-213-row", _fixed(*((12, d) for d in range(6))))
+def _table_row(n, d):
+    coeffs = [int(c) for c in series.series_Q(d, -1, n).coeffs]
+    yield "table-213-row", n, d, fixtures.TABLE_213[d], coeffs
+
+
+@_claim("series", "q0-closed-form", _fixed((12, 0)))
+def _q0_closed_form(n, d):
+    x = series.TruncSeries.x(n)
     closed = (1 - x) * (1 - 2 * x).reciprocal()
-    reports.append(_report(
-        "q0-closed-form", order, 0, closed.coeffs,
-        series.series_Q(0, -1, order).coeffs, start))
+    yield "q0-closed-form", n, d, closed.coeffs, series.series_Q(d, -1, n).coeffs
 
-    # (2(1-x) - g*Q)^2 = h*Q^2 with the algebraic data for d = 1, 2
-    for d, g_coeffs, h_coeffs in (
-        (1, [1, -2, 1], [1, -4, 2, 0, 1]),
-        (2, [1, -2, 2], [1, -4, 0, 4]),
-    ):
-        start = time.monotonic()
-        q = series.series_Q(d, -1, order)
-        g = series.TruncSeries(g_coeffs, order)
-        h = series.TruncSeries(h_coeffs, order)
-        lhs = (2 * (1 - x) - g * q) ** 2
-        rhs = h * q * q
-        reports.append(_report(
-            "q-algebraic-residual", order, d, True, lhs == rhs, start))
 
-    # the length-(d+3) pattern cannot occur while n <= d + 2
-    for n in range(min(n_max, 10) + 1):
-        start = time.monotonic()
-        d = max(n - 2, 0)
-        coeff = int(series.series_Q(d, -1, n).coeffs[n])
-        reports.append(_report(
-            "catalan-convergence", n, d, fixtures.CATALAN[n], coeff, start))
+# (2(1-x) - g*Q)^2 = h*Q^2 with the algebraic data (g, h) for d = 1, 2
+_ALGEBRAIC = {1: ([1, -2, 1], [1, -4, 2, 0, 1]), 2: ([1, -2, 2], [1, -4, 0, 4])}
 
-    for d in range(min(d_max, 3) + 1):
-        for n in range(min(n_max, 9) + 1):
+
+@_claim("series", "q-algebraic-residual", _fixed((12, 1), (12, 2)))
+def _algebraic_residual(n, d):
+    x = series.TruncSeries.x(n)
+    q = series.series_Q(d, -1, n)
+    g, h = (series.TruncSeries(c, n) for c in _ALGEBRAIC[d])
+    lhs = (2 * (1 - x) - g * q) ** 2
+    yield "q-algebraic-residual", n, d, True, lhs == h * q * q
+
+
+# the length-(d+3) pattern cannot occur while n <= d + 2
+@_claim("series", "catalan-convergence", lambda n_max, d_max: [
+    (n, max(n - 2, 0)) for n in range(min(n_max, 10) + 1)
+])
+def _catalan_convergence(n, d):
+    coeff = int(series.series_Q(d, -1, n).coeffs[n])
+    yield "catalan-convergence", n, d, fixtures.CATALAN[n], coeff
+
+
+@_claim("series", "table-213-cross-check", lambda n_max, d_max: [
+    (n, d) for d in range(min(d_max, 3) + 1) for n in range(min(n_max, 9) + 1)
+])
+def _table_cross_check(n, d):
+    count = sum(
+        1 for p in dyck.enumerate_avoiders_213(n) if fishburn.is_d_fishburn(p, d)
+    )
+    yield "table-213-cross-check", n, d, fixtures.TABLE_213[d][n], count
+
+
+# the suites, in the order `--suite all` runs them
+SUITES = tuple(dict.fromkeys(claim.suite for claim in REGISTRY))
+
+
+def run_claim(claim: Claim, n_max: int, d_max: int):
+    """The reports of one registry entry over its grid, as a generator."""
+    start = time.monotonic()
+    for point in claim.grid(n_max, d_max):
+        for check, n, d, expected, actual in claim.check(*point):
+            yield _report(check, n, d, expected, actual, start)
             start = time.monotonic()
-            count = sum(
-                1 for p in dyck.enumerate_avoiders_213(n)
-                if fishburn.is_d_fishburn(p, d)
-            )
-            reports.append(_report(
-                "table-213-cross-check", n, d, fixtures.TABLE_213[d][n], count, start))
-    return reports
-
-
-SUITES = {
-    "hat": suite_hat,
-    "orbit": suite_orbit,
-    "stats": suite_stats,
-    "burge": suite_burge,
-    "phi": suite_phi,
-    "subdiag": suite_subdiag,
-    "trees": suite_trees,
-    "dyck": suite_dyck,
-    "series": suite_series,
-}
 
 
 def run_suite(name: str, n_max: int, d_max: int):
-    if name == "all":
-        reports = []
-        for suite in SUITES.values():
-            reports.extend(suite(n_max, d_max))
-        return reports
-    return SUITES[name](n_max, d_max)
+    """The reports of the entries of suite name, or of every entry for
+    "all", in registry order."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite: {name}")
+    return [
+        report
+        for claim in REGISTRY if name in ("all", claim.suite)
+        for report in run_claim(claim, n_max, d_max)
+    ]
 
 
 def explore_conjectures(n_max: int):

@@ -1,193 +1,82 @@
 """End-to-end acceptance checks.
 
-Each test prints one pass/fail line; all comparisons are exact integer
-or exact structure equality.
+Every claim registered in fishlab.verify runs here at its acceptance size;
+the checks themselves live only in the registry.  The worked examples and
+the transport corollary, which the registry does not hold, are plain tests.
+All comparisons are exact integer or exact structure equality.
 """
 
-import math
-from itertools import permutations
+import pytest
 
-from fishlab import burge, dyck, fishburn, fixtures, hat, series
+from fishlab import burge, dyck, fishburn, fixtures, hat, verify
 from fishlab import sequences as seqs
 
+# (n_max, d_max) at which each registered claim runs, never below the
+# (6, 2) that `fishlab verify` runs by default; an entry of the registry
+# runs at the largest n_max and d_max among its claims.  A grid that
+# ignores n_max or d_max, or caps it lower, is noted
+ACCEPTANCE_SIZE = {
+    "dasc-cardinality": (6, 3),  # n <= d + 3
+    "hat-image-equals-recursive": (8, 3),
+    "hat-cayley-nub-max": (8, 3),
+    "hat-last-two-letters": (8, 3),
+    "hat-inv-roundtrip": (8, 3),
+    "modasc0-characterization": (8, 2),  # n <= 8, d = 0
+    "orbit-disjoint": (8, 2),  # no d
+    "orbit-hatinv-recovers": (8, 2),  # no d
+    "modinv-count": (8, 2),  # n <= 8, no d
+    "orbit-preserves-stats": (7, 2),  # no d
+    "transpose-involution": (6, 2),  # 200 random words of length <= 8
+    "burget-inverts-perms": (6, 2),  # n <= 6, no d
+    "burget-injective-on-modasc": (8, 3),
+    "phi-equals-burget-hat": (7, 3),
+    "fishburn-equals-phi-image": (7, 3),
+    "fishburn-equals-pattern-class": (7, 3),
+    "fishburn-number": (8, 2),  # n <= 8, d = 0
+    "hatmax-ascseq-is-irsub": (8, 2),  # no d
+    "hatmax-wdesc-is-drsub": (8, 2),  # no d
+    "flat-step-mesh-correspondence": (8, 2),  # no d
+    "subdiag-insertion-law": (7, 2),  # n <= 7, no d
+    "omega-counts-primitive": (8, 2),  # no d
+    "theta-counts-wdesc": (8, 2),  # no d
+    "tree-iso-child-multisets": (6, 2),  # labels (a, l), l <= a <= 8
+    "phi213-bijective": (8, 3),
+    "sigma-factor-transfer": (8, 3),
+    "factor-distribution": (8, 3),
+    "table-213-row": (6, 2),  # d <= 5 at N = 12
+    "q0-closed-form": (6, 2),  # N = 12
+    "q-algebraic-residual": (6, 2),  # d = 1, 2 at N = 12
+    "catalan-convergence": (10, 2),  # n <= 10, d = max(n - 2, 0)
+    "table-213-cross-check": (9, 3),  # n <= 9, d <= 3
+}
 
-def _criterion(num, name, ok):
-    print(f"criterion {num:2d} {name}: {'PASS' if ok else 'FAIL'}")
-    assert ok, f"criterion {num} ({name}) failed"
+
+def test_every_registered_claim_has_an_acceptance_size():
+    names = [name for claim in verify.REGISTRY for name in claim.names]
+    assert sorted(names) == sorted(ACCEPTANCE_SIZE)
+
+
+@pytest.mark.parametrize("claim", verify.REGISTRY, ids=lambda claim: claim.names[0])
+def test_registered_claim(claim):
+    n_max = max(ACCEPTANCE_SIZE[name][0] for name in claim.names)
+    d_max = max(ACCEPTANCE_SIZE[name][1] for name in claim.names)
+    reports = list(verify.run_claim(claim, n_max, d_max))
+    assert {r["check"] for r in reports} == set(claim.names)
+    failed = [r for r in reports if not r["pass"]]
+    assert not failed, failed[0]
 
 
 def test_01_worked_examples():
-    ok = hat.hat_d(fixtures.HAT0_EXAMPLE[0], 0) == fixtures.HAT0_EXAMPLE[1]
-    ok &= hat.hat_d(fixtures.HAT2_EXAMPLE[0], 2) == fixtures.HAT2_EXAMPLE[1]
+    assert hat.hat_d(fixtures.HAT0_EXAMPLE[0], 0) == fixtures.HAT0_EXAMPLE[1]
+    assert hat.hat_d(fixtures.HAT2_EXAMPLE[0], 2) == fixtures.HAT2_EXAMPLE[1]
     for word, image in fixtures.HATMAX_EXAMPLES:
-        ok &= hat.hat_max(word) == image
-    ok &= burge.burget(fixtures.BURGET_EXAMPLE[0]) == fixtures.BURGET_EXAMPLE[1]
+        assert hat.hat_max(word) == image
+    assert burge.burget(fixtures.BURGET_EXAMPLE[0]) == fixtures.BURGET_EXAMPLE[1]
     perm, d, active = fixtures.ACTIVE_EXAMPLE
-    ok &= fishburn.d_active_elements(perm, d) == active
-    _criterion(1, "worked-examples", ok)
-
-
-def test_02_cardinality_law():
-    ok = True
-    for d in range(4):
-        for n in range(d + 3):
-            ok &= len(list(hat.enumerate_d_asc(n, d))) == math.factorial(n)
-        ok &= len(list(hat.enumerate_d_asc(d + 3, d))) == math.factorial(
-            d + 3
-        ) - math.factorial(d)
-    _criterion(2, "cardinality-law", ok)
-
-
-def test_03_hat_bijectivity():
-    ok = True
-    for d in range(4):
-        for n in range(9):
-            domain = list(hat.enumerate_d_asc(n, d))
-            images = [hat.hat_d(w, d) for w in domain]
-            ok &= len(set(images)) == len(domain)
-            ok &= sorted(images) == hat.enumerate_mod_d_asc(n, d)
-            ok &= all(
-                hat.hat_inv(img) == w for w, img in zip(domain, images)
-            )
-    _criterion(3, "hat-bijectivity-roundtrip", ok)
-
-
-def test_04_statistic_preservation():
-    ok = True
-    for n in range(8):
-        for w in seqs.enumerate_inversion(n):
-            stats = (seqs.asc_set(w), seqs.wdes_set(w), seqs.rl_min_pairs(w))
-            for _, img in hat.h_orbit(w):
-                ok &= (
-                    seqs.asc_set(img),
-                    seqs.wdes_set(img),
-                    seqs.rl_min_pairs(img),
-                ) == stats
-    _criterion(4, "statistic-preservation", ok)
-
-
-def test_05_modinv_counts():
-    counts = [len(hat.enumerate_modinv(n)) for n in range(9)]
-    _criterion(5, "modinv-counts", counts == fixtures.MODINV_COUNTS)
-
-
-def test_06_modasc0_characterization():
-    ok = True
-    for n in range(9):
-        by_statistic = sorted(
-            c
-            for c in seqs.enumerate_cayley(n)
-            if seqs.asc_set(c) == seqs.nub(c)
-        )
-        ok &= by_statistic == hat.enumerate_mod_d_asc(n, 0)
-    _criterion(6, "modasc0-characterization", ok)
-
-
-def test_07_fishburn_pipeline():
-    ok = True
-    for d in range(4):
-        for n in range(8):
-            image = set()
-            for w in hat.enumerate_d_asc(n, d):
-                p = fishburn.phi_d(w, d)
-                ok &= p == burge.burget(hat.hat_d(w, d))
-                image.add(p)
-            by_sites = set()
-            by_pattern = set()
-            for p in permutations(range(1, n + 1)):
-                if fishburn.is_d_fishburn(p, d):
-                    by_sites.add(p)
-                if not fishburn.contains_fishburn_pattern(p, d):
-                    by_pattern.add(p)
-            ok &= image == by_sites == by_pattern
-    fishburn_numbers = [1, 1, 2, 5, 15, 53, 217, 1014, 5335]
-    for n in range(9):
-        count = sum(
-            fishburn.is_d_fishburn(p, 0) for p in permutations(range(1, n + 1))
-        )
-        ok &= count == fishburn_numbers[n]
-        ok &= count == len(list(hat.enumerate_d_asc(n, 0)))
-    _criterion(7, "fishburn-pipeline", ok)
-
-
-def test_08_subdiagonality():
-    ok = True
-    for n in range(9):
-        perms = list(permutations(range(1, n + 1)))
-        irsub = {p for p in perms if fishburn.subdiagonal(p, "increasing-runs")}
-        drsub = {p for p in perms if fishburn.subdiagonal(p, "decreasing-runs")}
-        asc_domain = list(hat.enumerate_d_asc(n, 0))
-        ok &= {hat.hat_max(w) for w in asc_domain} == irsub
-        ok &= {hat.hat_max(w) for w in hat.enumerate_weak_descent(n)} == drsub
-        ok &= len(irsub) == len(asc_domain)
-        # flat steps of the word match the adjacent-descent mesh occurrences
-        # of its image under the maximal hat
-        for w in seqs.enumerate_inversion(n):
-            ok &= bool(seqs.flat_steps(w)) == fishburn.contains_mesh_a(
-                hat.hat_max(w)
-            )
-    _criterion(8, "subdiagonality", ok)
-
-
-def test_09_generating_trees():
-    primitive = [
-        sum(1 for w in hat.enumerate_d_asc(n, 0) if not seqs.flat_steps(w))
-        for n in range(1, 9)
-    ]
-    wdesc = [sum(1 for _ in hat.enumerate_weak_descent(n)) for n in range(1, 9)]
-    ok = dyck.gen_tree_counts("Omega", 8) == primitive
-    ok &= dyck.gen_tree_counts("Theta", 8) == wdesc
-    for a in range(1, 9):
-        for ell in range(1, a + 1):
-            image = dyck.tree_iso_map((a, ell), "omega-to-theta")
-            ok &= dyck.tree_iso_map(image, "theta-to-omega") == (a, ell)
-            ok &= sorted(
-                dyck.tree_iso_map(c, "omega-to-theta")
-                for c in dyck.omega_children((a, ell))
-            ) == sorted(dyck.theta_children(image))
-    _criterion(9, "generating-trees", ok)
-
-
-def test_10_table_reproduction():
-    ok = True
-    for d, row in fixtures.TABLE_213.items():
-        coeffs = series.series_Q(d, -1, 12).coeffs
-        ok &= [int(c) for c in coeffs] == row
-    for d in range(4):
-        coeffs = series.series_Q(d, -1, 9).coeffs
-        for n in range(10):
-            direct = sum(
-                1
-                for p in dyck.enumerate_avoiders_213(n)
-                if fishburn.is_d_fishburn(p, d)
-            )
-            ok &= direct == coeffs[n]
-    _criterion(10, "table-reproduction", ok)
-
-
-def test_11_pattern_factor_transfer():
-    ok = True
-    for n in range(9):
-        avoiders = list(dyck.enumerate_avoiders_213(n))
-        paths = [dyck.phi_213(p) for p in avoiders]
-        for d in range(4):
-            ok &= all(
-                fishburn.contains_sigma(p, d)
-                == (dyck.count_ddu_factor(path, d) > 0)
-                for p, path in zip(avoiders, paths)
-            )
-        for d in range(3):
-            for q in (-1, 0, 1, 2):
-                coeffs = series.series_Q(d, q - 1, 8).coeffs
-                direct = sum(
-                    q ** dyck.count_ddu_factor(path, d) for path in paths
-                )
-                ok &= coeffs[n] == direct
-    _criterion(11, "pattern-factor-transfer", ok)
+    assert fishburn.d_active_elements(perm, d) == active
 
 
 def test_12_transport_corollary():
-    ok = True
     for d in range(3):
         for n in range(9):
             count = sum(
@@ -201,5 +90,4 @@ def test_12_transport_corollary():
                 for p in dyck.enumerate_avoiders_213(n)
                 if fishburn.is_d_fishburn(p, d)
             )
-            ok &= count == direct == fixtures.TABLE_213[d][n]
-    _criterion(12, "transport-corollary", ok)
+            assert count == direct == fixtures.TABLE_213[d][n]

@@ -2,10 +2,11 @@ import hashlib
 import io
 import json
 import math
+import time
 
 import pytest
 
-from fishlab import cli, fixtures, hat
+from fishlab import cli, fixtures, hat, verify
 
 
 def run(argv):
@@ -179,6 +180,32 @@ def test_verify_all_small():
     assert all(json.loads(line)["pass"] for line in text.splitlines())
 
 
+def test_verify_all_at_n_max_0():
+    # the tree counts start at depth 1, so their claims have no point here
+    code, text = run(["verify", "--suite", "all", "--n-max", "0", "--d-max", "0"])
+    assert code == 0
+    assert all(json.loads(line)["pass"] for line in text.splitlines())
+    assert "tree-iso-child-multisets" in text
+
+
+def test_failing_set_report_names_a_witness():
+    expected = {(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)}
+    actual = {(1, 2, 3), (2, 3, 1)}
+    out = io.StringIO()
+    failed = cli._print_reports([
+        verify._report("x", 3, 0, expected, actual, time.monotonic()),
+        verify._report("x", 3, 0, actual, set(actual), time.monotonic()),
+    ], out)
+    assert failed
+    bad, good = map(json.loads, out.getvalue().splitlines())
+    assert bad["pass"] is False and bad["expected"]["count"] == 5
+    # the smallest elements of each set difference, at most verify.WITNESSES
+    assert bad["expected"]["witness"] == [[1, 3, 2], [2, 1, 3], [3, 1, 2]]
+    assert bad["actual"]["witness"] == [[2, 3, 1]]
+    assert good["pass"] is True
+    assert list(good["expected"]) == list(good["actual"]) == ["count", "sha256"]
+
+
 def test_table_jsonl_and_csv_agree():
     code, text = run(["table", "--n-max", "6", "--d-max", "2"])
     assert code == 0
@@ -220,12 +247,6 @@ def test_explore_cap():
 def test_main_entry_point(capsys):
     assert cli.main(["enumerate", "--family", "dasc", "--n", "2", "--d", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == ["11", "12"]
-
-
-def test_threads_flag_is_inert():
-    base = run(["--threads", "1", "table", "--n-max", "5", "--d-max", "1"])
-    more = run(["--threads", "8", "table", "--n-max", "5", "--d-max", "1"])
-    assert base == more
 
 
 def test_unknown_subcommand_is_usage_error():

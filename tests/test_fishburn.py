@@ -1,7 +1,7 @@
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fishlab import burge, fishburn, fixtures, hat
@@ -431,3 +431,22 @@ def test_maps_accept_exactly_their_domains_past_length_4(wd):
         image = hat.hat_d(w, d)
         assert hat.hat_inv(image) == w
         assert burge.burget(image) == fishburn.phi_d(w, d)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.integers(0, 4),
+)
+def test_phi_d_parent_raises_exactly_off_the_class(p, d):
+    p = tuple(p)
+    assert _accepts(fishburn.phi_d_parent, p, d) == fishburn.is_d_fishburn(p, d)
+
+
+@settings(max_examples=300)
+@given(words_near_d_ascent())
+def test_phi_d_parent_undoes_the_last_insertion(wd):
+    w, d = wd
+    assume(w and seqs.is_d_ascent_seq(w, d))
+    parent = (fishburn.phi_d(w[:-1], d), w[-1])
+    assert fishburn.phi_d_parent(fishburn.phi_d(w, d), d) == parent
