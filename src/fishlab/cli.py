@@ -9,11 +9,11 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
 from . import dyck, fishburn, hat, series, verify
+from .sequences import level_sizes
 
 DEFAULT_MAX_N = 12
 
@@ -88,46 +88,6 @@ def _families(n, d):
     }
 
 
-def _count_leaves(n: int, root, children) -> int:
-    """Nodes at depth n of a generating tree whose nodes at depth 1 are the
-    root label and whose node with label x has one child per label in
-    children(x).  A DP on label multiplicities that returns the count so
-    far once it passes ENUMERATE_MAX_COST."""
-    if n == 0:
-        return 1
-    level = Counter({root: 1})
-    for _ in range(n - 1):
-        if sum(level.values()) > ENUMERATE_MAX_COST:
-            break  # every node has a child, so the count only grows with n
-        nxt = Counter()
-        for label, mult in level.items():
-            for child in children(label):
-                nxt[child] += mult
-        level = nxt
-    return sum(level.values())
-
-
-def _word_children(counts):
-    """Children for words whose every letter is at most one more than a
-    statistic of the prefix before it, on labels (statistic, last letter):
-    a letter b after a adds counts(a, b) to the statistic."""
-    def children(label):
-        k, a = label
-        return [(k + counts(a, b), b) for b in range(1, k + 2)]
-    return children
-
-
-def _hat_tree_children(label):
-    """Children in hat._hat_tree, on labels (lo, hi, dasc, last letter)."""
-    lo, hi, dasc, b = label
-    for a in range(1, dasc + 2):
-        t = b - a + 1
-        if lo < t:
-            yield lo, min(hi, t - 1), dasc, a
-        if t <= hi:
-            yield max(lo, t), hi, dasc + 1, a
-
-
 def enumerate_cost(family: str, n: int, d: int) -> int:
     """Objects `enumerate` examines: the members, each a leaf of the tree
     that generates it.  The leaves of hat._hat_tree for modinv, and for the
@@ -135,12 +95,14 @@ def enumerate_cost(family: str, n: int, d: int) -> int:
     bijections phi_d, hat_d and hat_max; a count above ENUMERATE_MAX_COST
     may be cut short."""
     if family == "modinv":
-        return _count_leaves(n, (0, max(n - 1, 0), 1, 1), _hat_tree_children)
-    if family in ("wdesc", "drsub"):
-        return _count_leaves(n, (0, 1), _word_children(lambda a, b: b <= a))
-    if family == "irsub":
-        d = 0  # irsub is the hat_max image of the ascent sequences
-    return _count_leaves(n, (1, 1), _word_children(lambda a, b: b > a - d))
+        root, children = (0, max(n - 1, 0), 0, 0), hat.hat_tree_children
+    elif family in ("wdesc", "drsub"):
+        root, children = (0, 0), hat.weak_descent_children
+    else:  # irsub is the hat_max image of the ascent sequences
+        root, children = (0 if family == "irsub" else d, 0, 0), hat.d_asc_children
+    # every node has a child, so the sizes only grow with the depth
+    sizes = enumerate(level_sizes(root, children))
+    return next(size for m, size in sizes if m == n or size > ENUMERATE_MAX_COST)
 
 
 @_usage_errors

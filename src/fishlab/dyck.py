@@ -4,11 +4,10 @@ generating trees with their label isomorphism.
 Paths are ASCII strings over U and D.
 """
 
-from collections import Counter
+from itertools import islice
 
-from .sequences import check_n, contains_word_pattern
-
-PATTERN_213 = (2, 1, 3)
+from .fishburn import check_perm
+from .sequences import check_n, level_sizes
 
 
 def is_dyck(path: str) -> bool:
@@ -26,17 +25,19 @@ def is_dyck(path: str) -> bool:
 
 
 def phi_213(p) -> str:
-    """Recursive first-letter decomposition p = p_1 L R -> U phi(L) D phi(R)."""
-    if contains_word_pattern(p, PATTERN_213):
-        raise ValueError(f"permutation contains 213: {p}")
+    """Recursive first-letter decomposition p = p_1 L R -> U phi(L) D phi(R).
+    Defined exactly on the 213-avoiding permutations: those whose entries
+    above p_1 (L) all precede those below it (R) at each step."""
+    check_perm(p)
 
     def rec(q):
         if not q:
             return ""
         v = q[0]
-        left = tuple(x for x in q[1:] if x > v)
-        right = tuple(x for x in q[1:] if x < v)
-        return "U" + rec(left) + "D" + rec(right)
+        k = 1 + sum(x > v for x in q)  # L is q[1:k] iff nothing below v is in it
+        if any(x < v for x in q[1:k]):
+            raise ValueError(f"permutation contains 213: {p}")
+        return "U" + rec(q[1:k]) + "D" + rec(q[k:])
 
     return rec(tuple(p))
 
@@ -98,24 +99,13 @@ def theta_children(label):
 
 
 def gen_tree_counts(rule: str, depth: int):
-    """Level sizes of the generating tree, computed on label multiplicities."""
-    if rule == "Omega":
-        level, children = {OMEGA_ROOT: 1}, omega_children
-    elif rule == "Theta":
-        level, children = {THETA_ROOT: 1}, theta_children
-    else:
+    """The first depth level sizes of the generating tree."""
+    trees = {"Omega": (OMEGA_ROOT, omega_children), "Theta": (THETA_ROOT, theta_children)}
+    if rule not in trees:
         raise ValueError(f"unknown rule: {rule}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    sizes = []
-    for _ in range(depth):
-        sizes.append(sum(level.values()))
-        nxt = Counter()
-        for label, mult in level.items():
-            for child in children(label):
-                nxt[child] += mult
-        level = nxt
-    return sizes
+    return list(islice(level_sizes(*trees[rule]), depth))
 
 
 def tree_iso_map(label, direction: str):

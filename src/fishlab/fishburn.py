@@ -17,8 +17,10 @@ def d_active_elements(p, d: int) -> frozenset:
     """Values declared active by the sweep k = 1, ..., n.
 
     k is inactive when it sits left of k-1 with at least d active values
-    between them; values > k are invisible at step k.  Checks d and p
-    once, then sweeps with positions and activity in lists: O(n^2)."""
+    between them; values > k are invisible at step k.  Defined exactly on
+    the permutations p of [n] and the nonnegative integers d: any other
+    input raises ValueError.  Checks d and p once, then sweeps with
+    positions and activity in lists: O(n^2)."""
     check_d(d)
     check_perm(p)
     pos = [0] * len(p)  # pos[k - 1]: the position of k

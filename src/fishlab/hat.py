@@ -14,6 +14,7 @@ from .sequences import (
     d_asc_thresholds,
     is_d_ascent_seq,
     is_inversion,
+    tree_words,
 )
 
 
@@ -65,12 +66,14 @@ def hat_max(w) -> tuple:
 
 
 def hat_inv(g) -> tuple:
-    """The unique inversion sequence whose hat orbit contains g.
+    """The unique inversion sequence whose hat orbit contains g, if any.
 
-    Peels g_k, k = n, ..., 1, in place on one list: when g_k has no copy
-    further left, the entries left of it above it are shifted down first.
-    Checks 1 <= g_k <= k as it peels, so raises iff g peels to no
-    inversion sequence.  O(n^2)."""
+    Defined exactly on what modify, folded over any set of positions, makes
+    of an inversion sequence, hats and more: folding hat_inv(g) over the nub
+    of g gives g back.  Peels g_k, k = n, ..., 1, in place on one list: when
+    g_k has no copy further left, the entries left of it above it are
+    shifted down first.  Checks 1 <= g_k <= k as it peels, so raises iff g
+    peels to no inversion sequence.  O(n^2)."""
     cur = list(g)
     for k in range(len(cur), 0, -1):
         gk = cur[k - 1]
@@ -119,21 +122,24 @@ def h_orbit(w):
     return tuple(_orbit(w))
 
 
+def d_asc_children(label):
+    """The d-ascent sequence tree on labels (d, d-ascents, last letter), root
+    (d, 0, 0): a letter b after a is a d-ascent iff b > a - d."""
+    d, dasc, a = label
+    return [(d, dasc + (b > a - d), b) for b in range(1, dasc + 2)]
+
+
+def weak_descent_children(label):
+    """The weak descent sequence tree on labels (weak descents, last
+    letter), root (0, 0): a letter b after a is a weak descent iff b <= a."""
+    wdes, a = label
+    return [(wdes + (b <= a), b) for b in range(1, wdes + 2)]
+
+
 def enumerate_d_asc(n: int, d: int):
     """All d-ascent sequences of length n, in lexicographic order."""
-    check_n(n)
     check_d(d)
-
-    def grow(prefix, dasc):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for a in range(1, dasc + 2):
-            is_dasc = not prefix or a > prefix[-1] - d
-            yield from grow(prefix + (a,), dasc + (1 if is_dasc else 0))
-
-    # returned, not yielded from, so that a bad n or d raises at the call
-    return grow((), 0)
+    return tree_words(n, (d, 0, 0), d_asc_children)
 
 
 def enumerate_mod_d_asc(n: int, d: int) -> list:
@@ -150,17 +156,7 @@ def enumerate_mod_d_asc(n: int, d: int) -> list:
 
 def enumerate_weak_descent(n: int):
     """All weak descent sequences of length n, in lexicographic order."""
-    check_n(n)
-    def grow(prefix, wdes):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for a in range(1, wdes + 2):
-            is_wdes = bool(prefix) and a <= prefix[-1]
-            yield from grow(prefix + (a,), wdes + (1 if is_wdes else 0))
-
-    # returned, not yielded from, so that a bad n raises at the call
-    return grow((), 0)
+    return tree_words(n, (0, 0), weak_descent_children)
 
 
 def enumerate_modinv(n: int) -> list:
@@ -180,6 +176,18 @@ def _as_tuples(leaves: list) -> list:
     for i, h in enumerate(leaves):
         leaves[i] = tuple(h)  # frees each byte string as its tuple is made
     return leaves
+
+
+def hat_tree_children(label):
+    """The tree of _hat_tree on labels (lo, hi, dasc, last letter), root
+    (lo, hi, 0, 0); _hat_tree inlines it, as a generator ran 1.6-2.8x slower."""
+    lo, hi, dasc, b = label
+    for a in range(1, dasc + 2):
+        t = b - a + 1
+        if lo < t:
+            yield lo, min(hi, t - 1), dasc, a
+        if t <= hi:
+            yield max(lo, t), hi, dasc + 1, a
 
 
 def _hat_tree(n: int, lo: int, hi: int) -> list:

@@ -6,6 +6,7 @@ empty word () is valid everywhere.  Position 1 always counts as an
 ascent (and a d-ascent).
 """
 
+from collections import Counter
 from itertools import combinations, product
 
 
@@ -140,6 +141,40 @@ def contains_word_pattern(w, p) -> bool:
 
 def avoids_all(w, patterns) -> bool:
     return not any(contains_word_pattern(w, p) for p in patterns)
+
+
+def level_sizes(root, children):
+    """The level sizes, from depth 0 on and without end, of the generating
+    tree whose root label sits at depth 0 and whose node labelled x has one
+    child per label in children(x): a DP on the label multiplicities."""
+    level = Counter({root: 1})
+    while True:
+        yield sum(level.values())
+        nxt = Counter()
+        for label, mult in level.items():
+            for child in children(label):
+                nxt[child] += mult
+        level = nxt
+
+
+def tree_words(n: int, root, children):
+    """The leaves at depth n of a generating tree (see level_sizes) whose
+    labels end in a letter, in the order of the children, each the word of
+    the letters on its path; the last level makes no generator frame."""
+    check_n(n)
+
+    def grow(word, label, left):
+        if not left:
+            yield word
+        elif left == 1:
+            for child in children(label):
+                yield word + (child[-1],)
+        else:
+            for child in children(label):
+                yield from grow(word + (child[-1],), child, left - 1)
+
+    # returned, not yielded from, so that a bad n raises at the call
+    return grow((), root, n)
 
 
 def enumerate_inversion(n: int):

@@ -342,10 +342,11 @@ def _dyck(n, d_max):
             for p, path in zip(avoiders, paths)
         )
         counts = Counter(dyck.count_ddu_factor(r, d) for r in all_paths)
+        # both sides have q-degree <= n/2 (a factor owns two down-steps)
         yield "factor-distribution", n, d, True, all(
             sum(m * q**c for c, m in counts.items())
             == series.series_Q(d, q - 1, n).coeffs[n]
-            for q in (-1, 0, 1, 2)
+            for q in range(-1, max(2, n // 2) + 1)
         )
 
 

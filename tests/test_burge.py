@@ -2,7 +2,7 @@ import random
 from itertools import chain, permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishlab import burge, fixtures, hat
@@ -122,3 +122,32 @@ def test_burget_matches_transpose():
     for n in range(6):
         for c in product(range(-1, n + 2), repeat=n):
             assert _outcome(burge.burget, c) == _outcome(_burget_by_transpose, c)
+
+
+def _accepts(f, *args):
+    try:
+        f(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def words_near_cayley(draw, max_n=9):
+    """A Cayley permutation of length n <= max_n, with one letter replaced
+    by any value in [-1, n + 1] half the time."""
+    n = draw(st.integers(0, max_n))
+    word = list(random_cayley(draw(st.randoms(use_true_random=False)), n))
+    if n and draw(st.booleans()):
+        word[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n + 1))
+    return tuple(word)
+
+
+@settings(max_examples=300)
+@given(words_near_cayley())
+def test_burget_accepts_exactly_cayley_past_length_4(c):
+    # Cayley: the values are 1, ..., k for k the number of distinct values
+    member = set(c) == set(range(1, len(set(c)) + 1))
+    assert _accepts(burge.burget, c) == member
+    if member:
+        assert burge.burget(c) == _burget_by_transpose(c)

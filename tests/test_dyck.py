@@ -1,9 +1,11 @@
+from collections import Counter
 from itertools import permutations
 from math import comb
 
 import pytest
 
-from fishlab import dyck, fixtures
+from fishlab import dyck, fixtures, verify
+from fishlab import sequences as seqs
 
 
 def catalan(n):
@@ -113,3 +115,69 @@ def test_tree_iso_commutes_with_children():
                 dyck.theta_children(dyck.tree_iso_map((a, ell), "omega-to-theta"))
             )
             assert mapped == direct
+
+
+# reference oracle: phi_213 as it was when it checked its input by word
+# pattern containment before decomposing it
+def _phi_213_by_pattern(p):
+    if seqs.contains_word_pattern(p, (2, 1, 3)):
+        raise ValueError(f"permutation contains 213: {p}")
+
+    def rec(q):
+        if not q:
+            return ""
+        v = q[0]
+        left = tuple(x for x in q[1:] if x > v)
+        right = tuple(x for x in q[1:] if x < v)
+        return "U" + rec(left) + "D" + rec(right)
+
+    return rec(tuple(p))
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def test_phi_213_matches_pattern_check():
+    for n in range(8):
+        for p in permutations(range(1, n + 1)):
+            assert _outcome(dyck.phi_213, p) == _outcome(_phi_213_by_pattern, p)
+
+
+def test_phi_213_rejects_non_permutations():
+    for p in ((1, 1), (2, 2, 3), (0,), (1, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            dyck.phi_213(p)
+
+
+def test_factor_distribution_claim_separates_at_n9(monkeypatch):
+    # at n = 9 the DDU count reaches 4, so the four points q = -1, 0, 1, 2
+    # the claim once checked cannot tell the true distribution from one
+    # off by q(q - 1)(q + 1)(q - 2) = 2q - q^2 - 2q^3 + q^4
+    n, d = 9, 0
+    real = dyck.count_ddu_factor
+    paths = list(dyck.enumerate_dyck_paths(n))
+    counts = Counter(real(r, d) for r in paths)
+    assert counts == {0: 256, 1: 1792, 2: 2240, 3: 560, 4: 14}
+    # one path with 2 factors read as 4 and two with 3 read as 1: each path
+    # keeps a factor, so only the distribution is wrong
+    misread = {[r for r in paths if real(r, d) == 2][0]: 4}
+    misread.update(dict.fromkeys([r for r in paths if real(r, d) == 3][:2], 1))
+    wrong = Counter(misread.get(r, real(r, d)) for r in paths)
+    assert wrong == {c: counts[c] + e for c, e in enumerate((0, 2, -1, -2, 1))}
+    for q in (-1, 0, 1, 2):
+        assert sum(m * q**c for c, m in wrong.items()) == sum(
+            m * q**c for c, m in counts.items()
+        )
+
+    def passes():
+        return {check: actual for check, _, _, _, actual in verify._dyck(n, d)}
+
+    assert passes()["factor-distribution"]
+    monkeypatch.setattr(dyck, "count_ddu_factor", lambda r, d: misread.get(r, real(r, d)))
+    rows = passes()
+    assert rows["sigma-factor-transfer"] and not rows["factor-distribution"]

@@ -433,6 +433,26 @@ def test_maps_accept_exactly_their_domains_past_length_4(wd):
         assert burge.burget(image) == fishburn.phi_d(w, d)
 
 
+@st.composite
+def words_near_permutations(draw, max_n=9):
+    """A permutation of [n], n <= max_n, with one letter replaced by any
+    value in [-1, n + 1] half the time."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.permutations(range(1, n + 1)))
+    if n and draw(st.booleans()):
+        p[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n + 1))
+    return tuple(p)
+
+
+@settings(max_examples=300)
+@given(words_near_permutations(), st.integers(0, 4))
+def test_d_active_elements_accepts_exactly_permutations_past_length_4(p, d):
+    member = len(set(p)) == len(p) and all(1 <= v <= len(p) for v in p)
+    assert _accepts(fishburn.d_active_elements, p, d) == member
+    if member:
+        assert fishburn.d_active_elements(p, d) == _d_active_by_sets(p, d)
+
+
 @settings(max_examples=300)
 @given(
     st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))),

@@ -1,8 +1,8 @@
 import math
-from itertools import chain, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishlab import dyck, fishburn, fixtures, hat
@@ -327,3 +327,90 @@ def test_enumerators_reject_negative_n():
     ):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             call()
+
+
+def test_level_sizes_match_the_tree_leaves():
+    # the label DP against the word DFS and the inline hat-tree DFS, on the
+    # rule each tree has in hat
+    wdesc = list(islice(seqs.level_sizes((0, 0), hat.weak_descent_children), 9))
+    for d in range(4):
+        dasc = list(islice(seqs.level_sizes((d, 0, 0), hat.d_asc_children), 9))
+        modasc = list(islice(seqs.level_sizes((d, d, 0, 0), hat.hat_tree_children), 9))
+        for n in range(9):
+            assert dasc[n] == sum(1 for _ in hat.enumerate_d_asc(n, d))
+            assert modasc[n] == len(hat._hat_tree(n, d, d))
+    for n in range(9):
+        assert wdesc[n] == sum(1 for _ in hat.enumerate_weak_descent(n))
+        hi = max(n - 1, 0)
+        modinv = seqs.level_sizes((0, hi, 0, 0), hat.hat_tree_children)
+        assert next(islice(modinv, n, None)) == len(hat._hat_tree(n, 0, hi))
+
+
+# reference oracle for the domain of hat_inv: whether g is modify folded
+# over some set S of positions of some inversion sequence w, by undoing the
+# fold right to left in every way.  The fold never moves position k once
+# it has passed it, so g_k = w_k must lie in [1, k]; and k can be in S iff
+# no entry left of k equals g_k, which its unfold then lowers back
+def _is_fold_of_inversion(g):
+    def unfold(cur, k):
+        if k == 0:
+            return True
+        gk = cur[k - 1]
+        if not 1 <= gk <= k:
+            return False
+        if unfold(cur, k - 1):
+            return True
+        return gk not in cur[: k - 1] and unfold(
+            [c - 1 if c > gk else c for c in cur[: k - 1]], k - 1
+        )
+
+    return unfold(list(g), len(g))
+
+
+def _accepts(f, *args):
+    try:
+        f(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_hat_inv_accepts_exactly_the_folds_of_inversion_sequences():
+    for n in range(6):
+        folds = {
+            hat._fold(w, s)
+            for w in seqs.enumerate_inversion(n)
+            for r in range(n + 1)
+            for s in combinations(range(1, n + 1), r)
+        }
+        # every word of length n over [-1, n + 1]: members and non-members
+        for g in product(range(-1, n + 2), repeat=n):
+            assert _is_fold_of_inversion(g) == (g in folds)
+            assert _accepts(hat.hat_inv, g) == (g in folds)
+        for g in folds:
+            assert hat._fold(hat.hat_inv(g), seqs.nub(g)) == g
+
+
+@st.composite
+def words_near_folds(draw, max_n=9):
+    """An inversion sequence of length n <= max_n folded over a random set
+    of positions, with one letter replaced by any value in [-1, n + 1] half
+    the time."""
+    n = draw(st.integers(0, max_n))
+    w = [draw(st.integers(1, i)) for i in range(1, n + 1)]
+    positions = [j for j in range(1, n + 1) if draw(st.booleans())]
+    g = list(hat._fold(w, positions))
+    if n and draw(st.booleans()):
+        g[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n + 1))
+    return tuple(g)
+
+
+@settings(max_examples=300)
+@given(words_near_folds())
+def test_hat_inv_domain_past_length_4(g):
+    member = _is_fold_of_inversion(g)
+    assert _accepts(hat.hat_inv, g) == member
+    if member:
+        w = hat.hat_inv(g)
+        assert seqs.is_inversion(w)
+        assert hat._fold(w, seqs.nub(g)) == g

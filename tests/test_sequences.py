@@ -1,10 +1,11 @@
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishlab import fishburn, hat
+from fishlab import fishburn, fixtures, hat
 from fishlab import sequences as seqs
 
 
@@ -235,3 +236,27 @@ def _cayley_by_set_partitions(n):
 def test_enumerate_cayley_matches_set_partitions():
     for n in range(9):
         assert seqs.enumerate_cayley(n) == _cayley_by_set_partitions(n)
+
+
+def _zagier_fishburn(N):
+    """[x^0..x^N] of Zagier's sum_n prod_{i <= n} (1 - (1 - x)^i), in
+    integer polynomials (Topology 40, 2001).  Each factor has no constant
+    term, so the terms past n = N vanish below x^(N + 1)."""
+    total = [1] + [0] * N  # the empty product, n = 0
+    prod = [1] + [0] * N
+    for i in range(1, N + 1):
+        # 1 - (1 - x)^i, up to x^N
+        factor = [0] + [(-1) ** (k + 1) * comb(i, k) for k in range(1, N + 1)]
+        prod = [sum(prod[j] * factor[k - j] for j in range(k + 1)) for k in range(N + 1)]
+        total = [t + c for t, c in zip(total, prod)]
+    return total
+
+
+def test_level_sizes_match_zagier_identity():
+    # the ascent sequences of length n, the 0-ascent tree's level n, are
+    # counted by the Fishburn numbers (Bousquet-Melou, Claesson, Dukes and
+    # Kitaev, JCTA 117, 2010), whose series Zagier gave
+    zagier = _zagier_fishburn(40)
+    assert zagier[: len(fixtures.FISHBURN_NUMBERS)] == fixtures.FISHBURN_NUMBERS
+    sizes = seqs.level_sizes((0, 0, 0), hat.d_asc_children)
+    assert list(islice(sizes, 41)) == zagier
