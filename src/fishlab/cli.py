@@ -7,7 +7,6 @@ Output is deterministic: fixed sort orders, no timestamps in data rows.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -15,10 +14,9 @@ from itertools import islice
 from . import dyck, fishburn, hat, series, verify
 from .sequences import level_sizes
 
-DEFAULT_MAX_N = 12
-
 # bound on enumerate_cost: admits every family at n <= 8 for every d (at
-# most 84057 objects, modinv at n = 8) and refuses modinv at n = 9
+# most 84057 objects, modinv at n = 8), refuses modinv at n = 9 and every
+# family past n = 10, so it also bounds n
 ENUMERATE_MAX_COST = 100_000
 
 # bound on table_cost: table_cost(500, 5), the --n-max 500 --d-max 5 table
@@ -29,14 +27,6 @@ REPORT_KEYS = ("check", "n", "d", "expected", "actual", "pass")
 
 class UsageError(Exception):
     """A bad invocation: the command prints the message and exits 2."""
-
-
-def max_n() -> int:
-    raw = os.environ.get("FISHLAB_MAX_N", str(DEFAULT_MAX_N))
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"FISHLAB_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _require_nonnegative(**values) -> None:
@@ -60,10 +50,6 @@ def _line_format(n: int) -> str:
     """The %-format of one output line for a word of length n: its entries
     run together, or comma-separated once an entry can have two digits."""
     return ("%d" * n if n <= 9 else ",".join(["%d"] * n)) + "\n"
-
-
-def serialize_seq(w) -> str:
-    return (_line_format(len(w)) % tuple(w))[:-1]
 
 
 # bytes.translate table from a word of one byte per entry, its words joined
@@ -112,8 +98,6 @@ def cmd_enumerate(args, out) -> int:
     one per entry, translated to digits a chunk at a time; comma-separated,
     by a %-format per line, from n = 10 on."""
     _require_nonnegative(n=args.n, d=args.d)
-    if args.n > max_n():
-        raise UsageError(f"n exceeds the configured maximum {max_n()}")
     if args.family in ("dasc", "modasc", "fishburn") and args.d is None:
         raise UsageError(f"--d is required for family {args.family}")
     cost = enumerate_cost(args.family, args.n, args.d or 0)
@@ -159,10 +143,7 @@ def _print_reports(reports, out):
 @_usage_errors
 def cmd_verify(args, out) -> int:
     _require_nonnegative(n_max=args.n_max, d_max=args.d_max)
-    if args.n_max > max_n():
-        raise UsageError(f"--n-max exceeds the configured maximum {max_n()}")
-    if args.d_max > max_n():
-        raise UsageError(f"--d-max exceeds the configured maximum {max_n()}")
+    # each claim's grid caps n and d at what its check can afford
     reports = verify.run_suite(args.suite, args.n_max, args.d_max)
     return 1 if _print_reports(reports, out) else 0
 
@@ -177,8 +158,8 @@ def table_cost(n_max: int, d_max: int) -> int:
 @_usage_errors
 def cmd_table(args, out) -> int:
     _require_nonnegative(n_max=args.n_max, d_max=args.d_max)
-    # the cross-check enumerates, so it keeps the enumeration caps
-    if args.cross_check and (args.n_max > 9 or args.n_max > max_n()):
+    # the cross-check enumerates the 213-avoiders, so n_max stays at most 9
+    if args.cross_check and args.n_max > 9:
         raise UsageError("--n-max too large for this mode")
     cost = table_cost(args.n_max, args.d_max)
     if cost > TABLE_MAX_COST:
@@ -219,7 +200,7 @@ def cmd_table(args, out) -> int:
 @_usage_errors
 def cmd_explore(args, out) -> int:
     _require_nonnegative(n_max=args.n_max)
-    if args.n_max > min(8, max_n()):
+    if args.n_max > 8:
         raise UsageError("--n-max too large for conjecture exploration")
     _print_reports(verify.explore_conjectures(args.n_max), out)
     return 0

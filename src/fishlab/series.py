@@ -67,15 +67,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncSeries(out, n)
+        return TruncSeries(_product(self.coeffs, other.coeffs, self.order), self.order)
 
     __rmul__ = __mul__
 
@@ -88,15 +80,12 @@ class TruncSeries:
         return result
 
     def reciprocal(self) -> "TruncSeries":
+        """For self = c0 + x*t, 1/self = (1/c0) / (1 - x*(-t/c0))."""
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("constant term is zero")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / c0
-        for m in range(1, n + 1):
-            out[m] = -sum(self.coeffs[k] * out[m - k] for k in range(1, m + 1)) / c0
-        return TruncSeries(out, n)
+        t = [-c / c0 for c in self.coeffs[1:]]
+        return TruncSeries([r / c0 for r in _inv_one_minus_x(t, self.order)], self.order)
 
 
 def _product(a, b, order: int) -> list:

@@ -6,9 +6,11 @@ points the check runs at, each a pair (n, d), with None for a size the
 check does not take.  The check maps one point to its report rows
 (claim, n, d, expected, actual), one per claim name, so that claims about
 one input, such as the d-ascent words and their hats, are checked from one
-build of it per point.  `fishlab verify --suite S` runs the entries of S
-in the order they are registered here, `--suite all` every entry, and
-tests/test_acceptance.py runs each entry at its acceptance size.
+build of it per point.  Each grid caps its own sizes, at what its check
+can afford, so that (n_max, d_max) only lowers them.  `fishlab verify
+--suite S` runs the entries of S in the order they are registered here,
+`--suite all` every entry, and tests/test_acceptance.py runs each grid at
+its caps, with n_max and d_max infinite.
 
 A report is a dict with keys check, n, d, expected, actual, pass and
 elapsed_ms, the time since the previous row of its entry.  Expected values
@@ -73,13 +75,16 @@ def _claim(suite, names, grid):
     return register
 
 
-def _each_n(cap=math.inf, d=None):
+def _each_n(cap, d=None):
     """The grid (n, d) for every n <= n_max that is at most cap."""
     return lambda n_max, d_max: [(n, d) for n in range(min(n_max, cap) + 1)]
 
 
-def _each_d_n(n_max, d_max):
-    return [(n, d) for d in range(d_max + 1) for n in range(n_max + 1)]
+def _each_d_n(n_cap, d_cap):
+    """The grid (n, d) for every d <= d_max and n <= n_max, each at most its cap."""
+    return lambda n_max, d_max: [
+        (n, d) for d in range(min(d_max, d_cap) + 1) for n in range(min(n_max, n_cap) + 1)
+    ]
 
 
 def _fixed(*points):
@@ -89,7 +94,7 @@ def _fixed(*points):
 # ------------------------------------------------------------------- hat
 
 @_claim("hat", "dasc-cardinality", lambda n_max, d_max: [
-    (n, d) for d in range(d_max + 1) for n in range(min(n_max, d + 3) + 1)
+    (n, d) for d in range(min(d_max, 3) + 1) for n in range(min(n_max, d + 3) + 1)
 ])
 def _dasc_cardinality(n, d):
     expected = (
@@ -103,7 +108,7 @@ def _dasc_cardinality(n, d):
 @_claim(
     "hat",
     "hat-image-equals-recursive hat-cayley-nub-max hat-last-two-letters hat-inv-roundtrip",
-    _each_d_n,
+    _each_d_n(8, 3),
 )
 def _hat_images(n, d):
     words = list(hat.enumerate_d_asc(n, d))
@@ -140,7 +145,7 @@ def _modasc0_characterization(n, d):
 
 # ----------------------------------------------------------------- orbit
 
-@_claim("orbit", "orbit-disjoint orbit-hatinv-recovers", _each_n())
+@_claim("orbit", "orbit-disjoint orbit-hatinv-recovers", _each_n(8))
 def _orbits(n, d):
     disjoint, roundtrip = True, True
     seen = {}
@@ -159,7 +164,7 @@ def _modinv_count(n, d):
 
 # ----------------------------------------------------------------- stats
 
-@_claim("stats", "orbit-preserves-stats", _each_n())
+@_claim("stats", "orbit-preserves-stats", _each_n(7))
 def _orbit_stats(n, d):
     ok = all(
         seqs.asc_set(g) == seqs.asc_set(w)
@@ -199,7 +204,7 @@ def _burget_inverts_perms(n, d):
     yield "burget-inverts-perms", n, d, True, ok
 
 
-@_claim("burge", "burget-injective-on-modasc", _each_d_n)
+@_claim("burge", "burget-injective-on-modasc", _each_d_n(8, 3))
 def _burget_injective(n, d):
     images = [burge.burget(h) for h in hat.enumerate_mod_d_asc(n, d)]
     yield "burget-injective-on-modasc", n, d, len(images), len(set(images))
@@ -210,7 +215,7 @@ def _burget_injective(n, d):
 @_claim(
     "phi",
     "phi-equals-burget-hat fishburn-equals-phi-image fishburn-equals-pattern-class",
-    _each_d_n,
+    _each_d_n(7, 3),
 )
 def _phi(n, d):
     words = list(hat.enumerate_d_asc(n, d))
@@ -245,7 +250,7 @@ def _fishburn_number(n, d):
 @_claim(
     "subdiag",
     "hatmax-ascseq-is-irsub hatmax-wdesc-is-drsub flat-step-mesh-correspondence",
-    _each_n(),
+    _each_n(8),
 )
 def _hat_max_images(n, d):
     irsub = {
@@ -286,8 +291,8 @@ def _insertion_law(n, d):
 # ----------------------------------------------------------------- trees
 
 def _at_n_max(n_max, d_max):
-    """The one point n_max, for the counts at depths 1..n_max of a tree."""
-    return [(n_max, None)] if n_max >= 1 else []
+    """The one point min(n_max, 8), for the counts at depths 1..n of a tree."""
+    return [(min(n_max, 8), None)] if n_max >= 1 else []
 
 
 @_claim("trees", "omega-counts-primitive", _at_n_max)
@@ -327,7 +332,7 @@ def _tree_iso(n, d):
 @_claim(
     "dyck",
     "phi213-bijective sigma-factor-transfer factor-distribution",
-    lambda n_max, d_max: [(n, d_max) for n in range(n_max + 1)],
+    lambda n_max, d_max: [(n, min(d_max, 3)) for n in range(min(n_max, 8) + 1)],
 )
 def _dyck(n, d_max):
     avoiders = list(dyck.enumerate_avoiders_213(n))

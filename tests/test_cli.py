@@ -1,12 +1,13 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import time
 
 import pytest
 
-from fishlab import cli, fixtures, hat, verify
+from fishlab import cli, fixtures, hat, series, verify
 
 
 def run(argv):
@@ -16,17 +17,12 @@ def run(argv):
     return code, out.getvalue()
 
 
-def test_serialize_seq():
-    assert cli.serialize_seq((1, 2, 1)) == "121"
-    assert cli.serialize_seq(()) == ""
-    assert cli.serialize_seq(tuple(range(1, 11))) == "1,2,3,4,5,6,7,8,9,10"
-
-
-def test_enumerate_line_is_serialize_seq():
-    # the comma form starts at n = 10, past what the cost cap lets through
-    for n in range(13):
-        w = tuple(range(n, 0, -1))
-        assert cli._line_format(n) % w == cli.serialize_seq(w) + "\n"
+def test_line_format():
+    # the comma form starts at n = 10, where an entry can have two digits
+    assert cli._line_format(3) % (1, 2, 1) == "121\n"
+    assert cli._line_format(0) % () == "\n"
+    assert cli._line_format(9) % tuple(range(9, 0, -1)) == "987654321\n"
+    assert cli._line_format(10) % tuple(range(1, 11)) == "1,2,3,4,5,6,7,8,9,10\n"
 
 
 # sha256 of the stdout of `enumerate`, run for each d <= 2 (families that
@@ -149,15 +145,6 @@ def test_enumerate_fishburn_needs_d():
     assert code == 2
 
 
-def test_enumerate_respects_cap(monkeypatch):
-    monkeypatch.setenv("FISHLAB_MAX_N", "4")
-    code, _ = run(["enumerate", "--family", "modinv", "--n", "5"])
-    assert code == 2
-    monkeypatch.setenv("FISHLAB_MAX_N", "5")
-    code, _ = run(["enumerate", "--family", "modinv", "--n", "5"])
-    assert code == 0
-
-
 def test_verify_suite_reports():
     code, text = run(["verify", "--suite", "trees", "--n-max", "5", "--d-max", "1"])
     assert code == 0
@@ -180,6 +167,26 @@ def test_verify_all_small():
         code, text = run(["verify", "--suite", "all", "--n-max", n_max, "--d-max", d_max])
         assert code == 0
         assert all(json.loads(line)["pass"] for line in text.splitlines())
+
+
+def test_verify_clamps_sizes_to_each_grid():
+    # every dyck claim runs at d <= 3, so a larger --d-max changes nothing
+    huge = run(["verify", "--suite", "dyck", "--n-max", "3", "--d-max", "1000000"])
+    assert huge == run(["verify", "--suite", "dyck", "--n-max", "3", "--d-max", "3"])
+    assert huge[0] == 0
+
+
+def test_verify_failing_claim_exits_1(monkeypatch):
+    monkeypatch.setattr(verify, "REGISTRY", list(verify.REGISTRY))
+
+    @verify._claim("series", "one-is-two", verify._fixed((1, None)))
+    def _one_is_two(n, d):
+        yield "one-is-two", n, d, 1, 2
+
+    code, text = run(["verify", "--suite", "series"])
+    assert code == 1
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert [r["check"] for r in rows if not r["pass"]] == ["one-is-two"]
 
 
 def test_failing_set_report_names_a_witness():
@@ -225,6 +232,22 @@ def test_table_cross_check():
     assert code == 2
 
 
+def test_table_cross_check_mismatch_exits_1(monkeypatch, capsys):
+    series_q = series.series_Q
+
+    def one_coefficient_off(d, q, order):
+        coeffs = list(series_q(d, q, order).coeffs)
+        if d == 1:
+            coeffs[4] += 1
+        return series.TruncSeries(coeffs, order)
+
+    monkeypatch.setattr(series, "series_Q", one_coefficient_off)
+    assert cli.main(["table", "--n-max", "5", "--d-max", "1", "--cross-check"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "cross-check mismatch at d=1 n=4: series 14, enumeration 13"
+    ]
+
+
 def test_explore_conjectures():
     code, text = run(["explore-conjectures", "--n-max", "5"])
     assert code == 0
@@ -256,32 +279,26 @@ def test_enumerate_fishburn_count_is_fishburn_number():
     assert math.factorial(5) > 53
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["table", "--n-max", "-1"], None),
-    (["table", "--d-max", "-2"], None),
-    (["table", "--n-max", "501", "--d-max", "5"], None),
-    (["table", "--n-max", "1", "--d-max", "10000000000"], None),
-    (["verify", "--suite", "series", "--n-max", "-1"], None),
-    (["enumerate", "--family", "dasc", "--n", "-1", "--d", "0"], None),
-    (["verify", "--suite", "series"], "abc"),
-    (["enumerate", "--family", "modinv", "--n", "3"], "abc"),
-    (["verify", "--suite", "dyck", "--n-max", "3", "--d-max", "1000000"], None),
-    (["enumerate", "--family", "modinv", "--n", "9"], None),
-    (["enumerate", "--family", "fishburn", "--n", "12", "--d", "12"], None),
+@pytest.mark.parametrize("argv", [
+    ["table", "--n-max", "-1"],
+    ["table", "--d-max", "-2"],
+    ["table", "--n-max", "501", "--d-max", "5"],
+    ["table", "--n-max", "1", "--d-max", "10000000000"],
+    ["verify", "--suite", "series", "--n-max", "-1"],
+    ["enumerate", "--family", "dasc", "--n", "-1", "--d", "0"],
+    ["enumerate", "--family", "modinv", "--n", "9"],
+    ["enumerate", "--family", "fishburn", "--n", "12", "--d", "12"],
 ])
-def test_usage_errors_exit_2_with_one_line(argv, env, monkeypatch, capsys):
-    if env is not None:
-        monkeypatch.setenv("FISHLAB_MAX_N", env)
+def test_usage_errors_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
 
 
-def test_table_cap_bounds_cost_not_n(monkeypatch):
+def test_table_cap_bounds_cost_not_n():
     # the table costs about sum over d of max(2, d) n^2 coefficient
     # products; the enumeration cap does not apply without --cross-check
-    monkeypatch.setenv("FISHLAB_MAX_N", "4")
     code, text = run(["table", "--n-max", "40", "--d-max", "5", "--format", "csv"])
     assert code == 0
     assert len(text.splitlines()) == 1 + 6 * 41
@@ -290,7 +307,7 @@ def test_table_cap_bounds_cost_not_n(monkeypatch):
         assert cli.table_cost(7, d_max) == sum(max(2, d) * 49 for d in range(d_max + 1))
 
 
-def test_enumerate_cost_counts_what_enumerate_examines(monkeypatch):
+def test_enumerate_cost_counts_what_enumerate_examines():
     for n in range(8):
         assert cli.enumerate_cost("modinv", n, 0) == len(hat.enumerate_modinv(n))
         for d in range(4):
@@ -301,12 +318,13 @@ def test_enumerate_cost_counts_what_enumerate_examines(monkeypatch):
             _, text = run(["enumerate", "--family", family, "--n", str(n)])
             assert cli.enumerate_cost(family, n, 0) == len(text.splitlines())
     # the largest families at n = 8 hold 8! objects and modinv 84057, inside
-    # the bound, and modinv at n = 9 is past it; with the n cap raised, the
-    # cost bound alone refuses n = 100, and quickly
+    # the bound, and modinv at n = 9 is past it; the bound refuses every
+    # family past n = 10, and n = 100 quickly
     assert cli.enumerate_cost("dasc", 8, 100) == math.factorial(8)
     assert cli.enumerate_cost("modinv", 8, 0) == fixtures.MODINV_COUNTS[8]
     assert cli.enumerate_cost("modinv", 9, 0) > cli.ENUMERATE_MAX_COST
+    for family, d in itertools.product(cli._families(0, 0), range(12)):
+        assert cli.enumerate_cost(family, 11, d) > cli.ENUMERATE_MAX_COST
     assert cli.enumerate_cost("dasc", 100, 0) > cli.ENUMERATE_MAX_COST
-    monkeypatch.setenv("FISHLAB_MAX_N", "100")
     code, _ = run(["enumerate", "--family", "fishburn", "--n", "100", "--d", "0"])
     assert code == 2
