@@ -27,8 +27,8 @@ print()
 for n in range(7):
     print(
         f"n={n}:",
-        "dasc(0) =", len(list(hat.enumerate_d_asc(n, 0))),
+        "dasc(0) =", len(hat.enumerate_d_asc(n, 0)),
         " modasc(0) =", len(hat.enumerate_mod_d_asc(n, 0)),
         " modinv =", len(hat.enumerate_modinv(n)),
-        " wdesc =", sum(1 for _ in hat.enumerate_weak_descent(n)),
+        " wdesc =", len(hat.enumerate_weak_descent(n)),
     )

@@ -9,9 +9,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 
-from . import dyck, fishburn, hat, series, verify
+from . import fishburn, hat, series, verify
 from .sequences import level_sizes
 
 # bound on enumerate_cost: admits every family at n <= 8 for every d (at
@@ -23,6 +22,9 @@ ENUMERATE_MAX_COST = 100_000
 TABLE_MAX_COST = 4_500_000
 
 REPORT_KEYS = ("check", "n", "d", "expected", "actual", "pass")
+
+# the families that `enumerate` requires --d for; the others refuse it
+D_FAMILIES = ("dasc", "modasc", "fishburn")
 
 
 class UsageError(Exception):
@@ -58,10 +60,6 @@ _DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
 
 
 def _families(n, d):
-    if n is None:
-        raise ValueError
-    if d is None:
-        d = 0
     return {
         "dasc": lambda: hat.enumerate_d_asc(n, d),
         # the hat tree's sorted byte leaves, which the writer takes as they are
@@ -98,25 +96,30 @@ def cmd_enumerate(args, out) -> int:
     one per entry, translated to digits a chunk at a time; comma-separated,
     by a %-format per line, from n = 10 on."""
     _require_nonnegative(n=args.n, d=args.d)
-    if args.family in ("dasc", "modasc", "fishburn") and args.d is None:
+    if args.family in D_FAMILIES and args.d is None:
         raise UsageError(f"--d is required for family {args.family}")
+    if args.family not in D_FAMILIES and args.d is not None:
+        raise UsageError(f"--d is not taken by family {args.family}")
     cost = enumerate_cost(args.family, args.n, args.d or 0)
     if cost > ENUMERATE_MAX_COST:
         raise UsageError(
             f"--n {args.n} too large for family {args.family}: it would examine "
             f"{cost} or more objects, the limit is {ENUMERATE_MAX_COST}"
         )
-    words = iter(_families(args.n, args.d)[args.family]())
+    words = _families(args.n, args.d or 0)[args.family]()
     # one write, of text made 4096 words at a time, so that the lines never
     # all exist as separate objects
+    starts = range(0, len(words), 4096)
     if args.n <= 9:
-        # bytes(w) is w itself for a byte leaf; each chunk is one translate.
-        # The chunks end at an empty list, as at n = 0 every word is empty
-        chunks = iter(lambda: list(map(bytes, islice(words, 4096))), [])
-        text = ((b"\0".join(c) + b"\0").translate(_DIGIT_LINES).decode() for c in chunks)
+        # bytes(w) is w itself for a byte leaf; each chunk is one translate
+        text = [
+            (b"\0".join(map(bytes, words[i : i + 4096])) + b"\0")
+            .translate(_DIGIT_LINES).decode()
+            for i in starts
+        ]
     else:
-        lines = map(_line_format(args.n).__mod__, words)
-        text = iter(lambda: "".join(islice(lines, 4096)), "")
+        line = _line_format(args.n).__mod__
+        text = ["".join(map(line, words[i : i + 4096])) for i in starts]
     out.write("".join(text))
     return 0
 
@@ -183,10 +186,7 @@ def cmd_table(args, out) -> int:
         for d, n, count in rows:
             if d > 3:
                 continue
-            direct = sum(
-                1 for p in dyck.enumerate_avoiders_213(n)
-                if fishburn.is_d_fishburn(p, d)
-            )
+            direct = verify.count_213_fishburn(n, d)
             if direct != count:
                 print(
                     f"cross-check mismatch at d={d} n={n}: "

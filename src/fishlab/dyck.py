@@ -49,38 +49,40 @@ def count_ddu_factor(path: str, d: int) -> int:
     return sum(path[i : i + k] == target for i in range(len(path) - k + 1))
 
 
-def enumerate_dyck_paths(n: int):
-    """All Dyck paths of semilength n."""
+def enumerate_dyck_paths(n: int) -> list:
+    """All Dyck paths of semilength n, as a list, U before D at each step."""
     check_n(n)
+    out = []
 
     def grow(path, height, ups):
         if len(path) == 2 * n:
-            yield path
+            out.append(path)
             return
         if ups < n:
-            yield from grow(path + "U", height + 1, ups + 1)
+            grow(path + "U", height + 1, ups + 1)
         if height > 0:
-            yield from grow(path + "D", height - 1, ups)
+            grow(path + "D", height - 1, ups)
 
-    # returned, not yielded from, so that a bad n raises at the call
-    return grow("", 0, 0)
+    grow("", 0, 0)
+    del grow  # break the cycle grow -> its closure -> grow, which holds out
+    return out
 
 
-def enumerate_avoiders_213(n: int):
-    """All 213-avoiding permutations of [n]: first entry, then the larger
-    values, then the smaller ones."""
+def enumerate_avoiders_213(n: int) -> list:
+    """All 213-avoiding permutations of [n], as a list in lexicographic
+    order: first entry, then the larger values, then the smaller ones."""
     check_n(n)
 
     def rec(values):
         if not values:
-            yield ()
-            return
+            return [()]
+        out = []
         for i, v in enumerate(values):
+            rights = rec(values[:i])
             for left in rec(values[i + 1 :]):
-                for right in rec(values[:i]):
-                    yield (v,) + left + right
+                out += [(v,) + left + right for right in rights]
+        return out
 
-    # returned, not yielded from, so that a bad n raises at the call
     return rec(tuple(range(1, n + 1)))
 
 

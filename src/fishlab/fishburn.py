@@ -170,6 +170,7 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
     # the root's last site is 0: site 1 of the empty permutation is then a
     # d-ascent for every d >= 0
     grow((), (), 0)
+    del grow  # break the cycle grow -> its closure -> grow, which holds out
     out.sort()
     return out
 
@@ -213,30 +214,31 @@ def subdiagonal(p, mode: str) -> bool:
     return all(c <= n + 1 - i for i, blk in enumerate(blocks, 1) for c in blk)
 
 
-def enumerate_subdiagonal(n: int, mode: str):
-    """The permutations of [n] that subdiagonal(p, mode) accepts, in
-    lexicographic order, as a generator.
+def enumerate_subdiagonal(n: int, mode: str) -> list:
+    """The permutations of [n] that subdiagonal(p, mode) accepts, as a list
+    in lexicographic order.
 
     A depth-first search that places the unused values left to right,
     smallest first, and tracks the index b of the run block the last value
     sits in.  A value is refused when it exceeds n + 1 - b for its block b,
     or when the values left could then no longer all be placed.  So every
     branch ends in a member, the search costs O(n) per prefix of a member,
-    and its order is already lexicographic: the members stream out with no
-    sort.
+    and its order is already lexicographic: the members are appended with
+    no sort.
     """
     if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
     check_n(n)
     if n == 0:
-        return iter([()])
+        return [()]
     increasing = mode == "increasing-runs"
     used = [False] * (n + 1)
+    out = []
 
     def grow(prefix, block, top):
         # top is the largest unused value
         if len(prefix) == n - 1:
-            yield prefix + (top,)
+            out.append(prefix + (top,))
             return
         # a sentinel that no first value continues the run of
         last = prefix[-1] if prefix else (n + 1 if increasing else 0)
@@ -251,15 +253,16 @@ def enumerate_subdiagonal(n: int, mode: str):
             room = n + 1 - b if increasing else n - b
             if v <= n + 1 - b and (v == top or top <= room):
                 used[v] = True
-                yield from grow(prefix + (v,), b, below if v == top else top)
+                grow(prefix + (v,), b, below if v == top else top)
                 used[v] = False
             below = v
 
-    return grow((), 0, n)
+    grow((), 0, n)
+    del grow  # break the cycle grow -> its closure -> grow, which holds out
+    return out
 
 
-def enumerate_perms(n: int):
-    """All permutations of [n] in lexicographic order."""
+def enumerate_perms(n: int) -> list:
+    """All permutations of [n], as a list in lexicographic order."""
     check_n(n)
-    # returned, not yielded from, so that a bad n raises at the call
-    return permutations(range(1, n + 1))
+    return list(permutations(range(1, n + 1)))

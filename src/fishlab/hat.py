@@ -78,7 +78,7 @@ def hat_inv(g) -> tuple:
     for k in range(len(cur), 0, -1):
         gk = cur[k - 1]
         if not 1 <= gk <= k:
-            raise ValueError(f"{tuple(g)} is not a modified inversion sequence")
+            raise ValueError(f"{tuple(g)} is not a fold of an inversion sequence")
         if cur.index(gk) == k - 1:
             for i in range(k - 1):
                 if cur[i] > gk:
@@ -136,8 +136,8 @@ def weak_descent_children(label):
     return [(wdes + (b <= a), b) for b in range(1, wdes + 2)]
 
 
-def enumerate_d_asc(n: int, d: int):
-    """All d-ascent sequences of length n, in lexicographic order."""
+def enumerate_d_asc(n: int, d: int) -> list:
+    """All d-ascent sequences of length n, as a list in lexicographic order."""
     check_d(d)
     return tree_words(n, (d, 0, 0), d_asc_children)
 
@@ -154,8 +154,8 @@ def enumerate_mod_d_asc(n: int, d: int) -> list:
     return _as_tuples(_hat_tree(n, d, d))
 
 
-def enumerate_weak_descent(n: int):
-    """All weak descent sequences of length n, in lexicographic order."""
+def enumerate_weak_descent(n: int) -> list:
+    """All weak descent sequences of length n, as a list in lexicographic order."""
     return tree_words(n, (0, 0), weak_descent_children)
 
 
@@ -239,5 +239,6 @@ def _hat_tree(n: int, lo: int, hi: int) -> list:
     # the root is the empty prefix with last letter 0: position 1 is then a
     # d-ascent for every d >= 0
     grow(b"", 0, 0, lo, hi)
+    del grow  # break the cycle grow -> its closure -> grow, which holds out
     out.sort()
     return out

@@ -17,7 +17,9 @@ def check_d(d) -> None:
 
 
 def check_n(n) -> None:
-    """Raise ValueError when the length n is negative."""
+    """Raise ValueError unless the length n is a nonnegative integer."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
 
@@ -157,31 +159,31 @@ def level_sizes(root, children):
         level = nxt
 
 
-def tree_words(n: int, root, children):
+def tree_words(n: int, root, children) -> list:
     """The leaves at depth n of a generating tree (see level_sizes) whose
-    labels end in a letter, in the order of the children, each the word of
-    the letters on its path; the last level makes no generator frame."""
+    labels end in a letter, as a list in the order of the children, each
+    the word of the letters on its path; the last level makes no call."""
     check_n(n)
+    if n == 0:
+        return [()]
+    out = []
 
     def grow(word, label, left):
-        if not left:
-            yield word
-        elif left == 1:
-            for child in children(label):
-                yield word + (child[-1],)
-        else:
-            for child in children(label):
-                yield from grow(word + (child[-1],), child, left - 1)
+        for child in children(label):
+            if left == 1:
+                out.append(word + (child[-1],))
+            else:
+                grow(word + (child[-1],), child, left - 1)
 
-    # returned, not yielded from, so that a bad n raises at the call
-    return grow((), root, n)
+    grow((), root, n)
+    del grow  # break the cycle grow -> its closure -> grow, which holds out
+    return out
 
 
-def enumerate_inversion(n: int):
-    """All inversion sequences of length n in lexicographic order."""
+def enumerate_inversion(n: int) -> list:
+    """All inversion sequences of length n, as a list in lexicographic order."""
     check_n(n)
-    # returned, not yielded from, so that a bad n raises at the call
-    return product(*(range(1, i + 1) for i in range(1, n + 1)))
+    return list(product(*(range(1, i + 1) for i in range(1, n + 1))))
 
 
 def enumerate_cayley(n: int) -> list:
@@ -218,4 +220,5 @@ def enumerate_cayley(n: int) -> list:
                 out.append(prefix + (v,))
 
     grow((), 0, 0)
+    del grow  # break the cycle grow -> its closure -> grow, which holds out
     return out

@@ -299,6 +299,10 @@ def test_enumerate_fishburn_count_is_fishburn_number():
     ["enumerate", "--family", "dasc", "--n", "-1", "--d", "0"],
     ["enumerate", "--family", "modinv", "--n", "9"],
     ["enumerate", "--family", "fishburn", "--n", "12", "--d", "12"],
+    ["enumerate", "--family", "modinv", "--n", "3", "--d", "7"],
+    ["enumerate", "--family", "wdesc", "--n", "3", "--d", "0"],
+    ["enumerate", "--family", "irsub", "--n", "3", "--d", "1"],
+    ["enumerate", "--family", "drsub", "--n", "3", "--d", "2"],
 ])
 def test_usage_errors_exit_2_with_one_line(argv, capsys):
     assert cli.main(argv) == 2

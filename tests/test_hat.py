@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import chain, combinations, islice, permutations, product
 
 import pytest
@@ -261,7 +262,7 @@ def _hat_inv_nub_peel(g):
         cur = delta
     result = tuple(reversed(out))
     if not seqs.is_inversion(result):
-        raise ValueError(f"{tuple(g)} is not a modified inversion sequence")
+        raise ValueError(f"{tuple(g)} is not a fold of an inversion sequence")
     return result
 
 
@@ -327,6 +328,54 @@ def test_enumerators_reject_negative_n():
     ):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             call()
+
+
+def _enumerator_calls(n):
+    """(enumerator, args) for every public enumerator and tree_words at
+    length n, at each d <= 2 and each subdiagonal mode where it takes one."""
+    calls = [
+        (seqs.enumerate_inversion, (n,)),
+        (seqs.enumerate_cayley, (n,)),
+        (seqs.tree_words, (n, (0, 0), hat.weak_descent_children)),
+        (hat.enumerate_weak_descent, (n,)),
+        (hat.enumerate_modinv, (n,)),
+        (fishburn.enumerate_perms, (n,)),
+        (dyck.enumerate_dyck_paths, (n,)),
+        (dyck.enumerate_avoiders_213, (n,)),
+    ]
+    for d in range(3):
+        calls += [
+            (hat.enumerate_d_asc, (n, d)),
+            (hat.enumerate_mod_d_asc, (n, d)),
+            (fishburn.enumerate_d_fishburn, (n, d)),
+        ]
+    for mode in fishburn.SUBDIAGONAL_MODES:
+        calls.append((fishburn.enumerate_subdiagonal, (n, mode)))
+    return calls
+
+
+def test_enumerators_reject_non_integer_n():
+    for f, args in _enumerator_calls(2.5):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            f(*args)
+
+
+def test_every_enumerator_returns_a_sorted_list():
+    # words and permutations in lexicographic order, Dyck paths U before D
+    for n in range(6):
+        for f, args in _enumerator_calls(n):
+            result = f(*args)
+            assert type(result) is list, (f.__name__, args)
+            reverse = f is dyck.enumerate_dyck_paths
+            assert result == sorted(set(result), reverse=reverse), (f.__name__, args)
+
+
+def test_enumerators_keep_no_reference_to_their_list():
+    # a recursive closure that held the list would keep it alive, after the
+    # caller drops it, until a full collection
+    for f, args in _enumerator_calls(3):
+        result = f(*args)
+        assert sys.getrefcount(result) == 2, (f.__name__, args)
 
 
 def test_level_sizes_match_the_tree_leaves():
