@@ -1,6 +1,7 @@
 """d-active elements, d-Fishburn permutations, the insertion map and
 subdiagonal permutations."""
 
+import math
 from itertools import permutations
 
 from .sequences import check_d, check_n
@@ -194,24 +195,27 @@ def phi_d_parent(p, d: int):
     return tuple(v for v in p if v != n), 1 + len(active.intersection(p[:gap]))
 
 
-def _runs(p, increasing: bool):
-    blocks = []
-    for v in p:
-        if blocks and (blocks[-1][-1] < v if increasing else blocks[-1][-1] > v):
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    return blocks
-
-
 def subdiagonal(p, mode: str) -> bool:
     """Decompose p into maximal increasing or decreasing runs and require
-    every entry of block i to be at most n + 1 - i."""
+    every entry of block i to be at most n + 1 - i.
+
+    One pass that keeps the cap n + 1 - i of the current block i and
+    returns at the first entry above it.  A block ends where its run
+    breaks: at v <= prev for increasing runs, at v >= prev for decreasing
+    ones, so equal neighbours sit in different blocks."""
     if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
-    n = len(p)
-    blocks = _runs(p, increasing=(mode == "increasing-runs"))
-    return all(c <= n + 1 - i for i, blk in enumerate(blocks, 1) for c in blk)
+    increasing = mode == "increasing-runs"
+    cap = len(p) + 1
+    # a sentinel that no first entry continues the run of
+    prev = math.inf if increasing else -math.inf
+    for v in p:
+        if v <= prev if increasing else v >= prev:
+            cap -= 1
+        if v > cap:
+            return False
+        prev = v
+    return True
 
 
 def enumerate_subdiagonal(n: int, mode: str) -> list:

@@ -166,6 +166,14 @@ def test_verify_suite_reports():
         assert row["pass"] is True
 
 
+def test_verify_reports_time_in_nanoseconds():
+    reports = verify.run_suite("trees", 8, 0)
+    assert reports
+    for report in reports:
+        assert type(report["elapsed_ns"]) is int and report["elapsed_ns"] >= 0
+        assert "elapsed_ms" not in report
+
+
 def test_verify_output_is_deterministic():
     a = run(["verify", "--suite", "dyck", "--n-max", "5", "--d-max", "2"])
     b = run(["verify", "--suite", "dyck", "--n-max", "5", "--d-max", "2"])
@@ -234,6 +242,21 @@ def test_table_jsonl_and_csv_agree():
         for d, n, c in (line.split(",") for line in lines[1:])
     }
     assert parsed == {(r["d"], r["n"]): r["count"] for r in rows}
+
+
+# sha256 of the stdout of `table` with its default sizes (n <= 12, d <= 5),
+# for each format
+TABLE_GOLDEN_SHA256 = {
+    "jsonl": "881a7e07d655c4eed62eab2e5b5cfa2b078f784f269a4928290c5b2f00bc9ce7",
+    "csv": "827b2ce2ff7217ea02bf31080e7fbac5a79ed8d50122ed53ea64dc6b0a39de6d",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_GOLDEN_SHA256))
+def test_table_output_is_pinned(fmt):
+    code, text = run(["table"] + (["--format", fmt] if fmt != "jsonl" else []))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_GOLDEN_SHA256[fmt]
 
 
 def test_table_cross_check():

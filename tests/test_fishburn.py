@@ -195,6 +195,30 @@ def test_enumerate_subdiagonal_matches_filter(mode):
         assert list(fishburn.enumerate_subdiagonal(n, mode)) == _subdiagonal_filter(n, mode)
 
 
+# reference oracle: subdiagonal as it was before its one pass, with the run
+# blocks built as lists first and every entry checked against its block's cap
+def _subdiagonal_by_blocks(p, mode):
+    increasing = mode == "increasing-runs"
+    blocks = []
+    for v in p:
+        if blocks and (blocks[-1][-1] < v if increasing else blocks[-1][-1] > v):
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+    n = len(p)
+    return all(c <= n + 1 - i for i, blk in enumerate(blocks, 1) for c in blk)
+
+
+@pytest.mark.parametrize("mode", fishburn.SUBDIAGONAL_MODES)
+def test_subdiagonal_matches_blocks(mode):
+    # the words over [1..n] include every tie between neighbours
+    for n in range(7):
+        for w in product(range(1, n + 1), repeat=n):
+            assert fishburn.subdiagonal(w, mode) == _subdiagonal_by_blocks(w, mode)
+    for p in permutations(range(1, 9)):
+        assert fishburn.subdiagonal(p, mode) == _subdiagonal_by_blocks(p, mode)
+
+
 def test_phi_d_matches_from_scratch_insertion():
     for d in range(4):
         for n in range(8):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishlab import dyck, fishburn, fixtures, hat
+from fishlab import dyck, fishburn, fixtures, hat, verify
 from fishlab import sequences as seqs
 
 
@@ -152,6 +152,27 @@ def test_enumerate_mod_d_asc_matches_bfs():
     for d in range(4):
         for n in range(9):
             assert hat.enumerate_mod_d_asc(n, d) == _mod_d_asc_bfs(n, d)
+
+
+# reference oracle: the modasc0-characterization side as it was before it
+# was generated, every Cayley permutation filtered by asc_set == nub
+def _asc_is_nub_filter(n):
+    return [c for c in seqs.enumerate_cayley(n) if seqs.asc_set(c) == seqs.nub(c)]
+
+
+def test_asc_is_nub_words_match_filter():
+    for n in range(8):
+        assert verify._asc_is_nub_words(n) == _asc_is_nub_filter(n)
+
+
+def test_modasc0_characterization_fails_on_a_missing_member(monkeypatch):
+    generate = verify._asc_is_nub_words
+    monkeypatch.setattr(verify, "_asc_is_nub_words", lambda n: generate(n)[:-1])
+    (row,) = verify._modasc0_characterization(4, 0)
+    check, _, _, expected, actual = row
+    assert check == "modasc0-characterization"
+    assert expected != actual
+    assert actual - expected == {generate(4)[-1]}
 
 
 def test_hat_tree_refuses_words_past_a_byte():
