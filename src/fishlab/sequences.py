@@ -4,6 +4,12 @@ A word w = a_1 ... a_n is stored as a tuple of ints with 1 <= a_i <= n
 (an endofunction of [n]).  All positions and values are 1-based; the
 empty word () is valid everywhere.  Position 1 always counts as an
 ascent (and a d-ascent).
+
+It also holds the one generating-tree layer: a tree is a root label and
+a children rule, level_sizes counts its levels by a DP on the labels, and
+tree_words lists the words of its leaves, building the subtrees below
+half the depth once per label.  Cayley permutations are the leaves of the
+cayley_children rule.
 """
 
 from collections import Counter
@@ -162,21 +168,41 @@ def level_sizes(root, children):
 def tree_words(n: int, root, children) -> list:
     """The leaves at depth n of a generating tree (see level_sizes) whose
     labels end in a letter, as a list in the order of the children, each
-    the word of the letters on its path; the last level makes no call."""
+    the word of the letters on its path; the last level makes no call.
+
+    Two nodes with one label have the same subtrees.  So the prefixes down
+    to depth n // 2 are built level by level, which keeps their order, and
+    below that depth the words of length m under a label, its tails, are
+    built once per (label, m), from the tails of its children.  A prefix
+    then takes the tails of its label by one concatenation per leaf."""
     check_n(n)
     if n == 0:
         return [()]
-    out = []
+    split = n // 2
+    heads = [((), root)]
+    for _ in range(split):
+        heads = [(word + (child[-1],), child)
+                 for word, label in heads for child in children(label)]
+    tails = {}
 
-    def grow(word, label, left):
-        for child in children(label):
-            if left == 1:
-                out.append(word + (child[-1],))
+    def grow(label, length):
+        key = label, length
+        words = tails.get(key)
+        if words is None:
+            if length == 1:
+                words = [(child[-1],) for child in children(label)]
             else:
-                grow(word + (child[-1],), child, left - 1)
+                words = []
+                for child in children(label):
+                    letter = child[-1],
+                    words += [letter + tail for tail in grow(child, length - 1)]
+            tails[key] = words
+        return words
 
-    grow((), root, n)
-    del grow  # break the cycle grow -> its closure -> grow, which holds out
+    out = []
+    for word, label in heads:
+        out.extend([word + tail for tail in grow(label, n - split)])
+    del grow, tails  # break the cycle grow -> its closure -> grow; free the tails
     return out
 
 
@@ -186,39 +212,30 @@ def enumerate_inversion(n: int) -> list:
     return list(product(*(range(1, i + 1) for i in range(1, n + 1))))
 
 
-def enumerate_cayley(n: int) -> list:
-    """All Cayley permutations of length n, as a sorted list.
-
-    A depth-first search over positions that tries the values 1..n in
-    increasing order, so the words come out in lexicographic order.  It
-    counts the values of [1, max] not yet used and cuts a branch once they
-    outnumber the positions left; every branch it enters therefore ends in
-    a member, and the cost is O(n) per word.
-    """
-    check_n(n)
-    if n == 0:
-        return [()]
+def cayley_children(label):
+    """The Cayley permutation tree on labels (left, top, missing, last
+    letter), root (n, 0, (), 0) for words of length n: left positions to
+    fill, top the largest letter so far and missing the values of [1, top]
+    not yet used, increasing.  The letters 1..top are tried in increasing
+    order, then each new top above it; a child is cut once the values
+    missing after it outnumber the positions left after it.  Every node
+    above depth n therefore has a child, and its leaves are the members."""
+    left, top, missing, _ = label
+    left -= 1  # positions left after the child's letter
     out = []
-    uses = [0] * (n + 1)
-
-    def grow(prefix, top, missing):
-        left = n - len(prefix) - 1  # positions left after this one
-        for v in range(1, n + 1):
-            if v > top:
-                miss = missing + v - top - 1
-                if miss > left:
-                    break  # a larger v leaves even more values missing
-            else:
-                miss = missing if uses[v] else missing - 1
-                if miss > left:
-                    continue
-            if left:
-                uses[v] += 1
-                grow(prefix + (v,), max(top, v), miss)
-                uses[v] -= 1
-            else:
-                out.append(prefix + (v,))
-
-    grow((), 0, 0)
-    del grow  # break the cycle grow -> its closure -> grow, which holds out
+    repeat = len(missing) <= left  # room for a letter that is no new value
+    for v in range(1, top + 1):
+        if v in missing:
+            i = missing.index(v)
+            out.append((left, top, missing[:i] + missing[i + 1:], v))
+        elif repeat:
+            out.append((left, top, missing, v))
+    for v in range(top + 1, top + 2 + left - len(missing)):
+        out.append((left, v, missing + tuple(range(top + 1, v)), v))
     return out
+
+
+def enumerate_cayley(n: int) -> list:
+    """All Cayley permutations of length n, as a sorted list: the leaves
+    of the cayley_children tree, O(n) per word."""
+    return tree_words(n, (n, 0, (), 0), cayley_children)

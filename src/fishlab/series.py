@@ -6,8 +6,9 @@ modulo x^(order+1).  No floating point anywhere.
 
 solve_P and series_Q read the coefficients of the marked-path equation off
 one at a time on plain lists, about max(2, d) N^2 coefficient products for
-N = order, in int when q is an integer and Fraction otherwise; the result
-is wrapped in a TruncSeries at the end.
+N = order, in int for every q: for q = r/s the series is taken at s x,
+whose coefficients are integers, and coefficient n is divided by s^n once,
+when the result is wrapped in a TruncSeries at the end.
 """
 
 from fractions import Fraction
@@ -101,33 +102,37 @@ def _inv_one_minus_x(s, order: int) -> list:
     return r
 
 
-def _solve(d: int, q_value, order: int) -> list:
-    """Coefficients of P = 1 + xP^2 + q x^e P^k, read off one at a time.
+def _solve(d: int, q_value, order: int) -> tuple:
+    """Coefficients of P = 1 + xP^2 + q x^e P^k, read off one at a time in
+    integers, as the pair (s^n p_n for n = 0..order, s) for q = r/s.
 
-    p_n = [x^(n-1)]P^2 + q [x^(n-e)]P^k only uses p_0 .. p_(n-1), so one
-    pass gives every coefficient; the powers P^1 .. P^max(2, k) are kept
-    up to date as each p_n lands.  The result is checked by substitution.
+    x -> s x turns the equation into P~ = 1 + s x P~^2 + r s^(e-1) x^e P~^k
+    for P~(x) = P(s x), whose coefficients s^n p_n are integers.  Its
+    coefficient n = [x^(n-1)] s P~^2 + [x^(n-e)] r s^(e-1) P~^k only uses
+    those before it, so one pass gives every coefficient; the powers
+    P~^1 .. P~^max(2, k) are kept up to date as each lands.  The result is
+    checked by substitution.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
     q = Fraction(q_value)
-    ring = int if q.denominator == 1 else Fraction
-    q = ring(q)
+    s = q.denominator
     # for d >= 1 the marked step contributes U' P (D P)^(d-1), whose image
     # is q x^(d+1) P^d; checked against brute-force factor counts
     e, k = (2, 2) if d == 0 else (d + 1, d)
-    # P^2 is read up to x^(order-1) and the powers above it up to
+    c = q.numerator * s ** (e - 1)
+    # P~^2 is read up to x^(order-1) and the powers above it up to
     # x^(order-e); powers that no index reaches are not built
     top = max(2, k) if order >= e else 2
     limits = [order, order - 1] + [order - e] * (top - 2)
-    powers = [[] for _ in range(top)]  # powers[j - 1] holds P^j
+    powers = [[] for _ in range(top)]  # powers[j - 1] holds P~^j
     p = powers[0]
     for n in range(order + 1):
-        p_n = ring(1) if n == 0 else powers[1][n - 1]
+        p_n = 1 if n == 0 else s * powers[1][n - 1]
         if n >= e:
-            p_n += q * powers[k - 1][n - e]
+            p_n += c * powers[k - 1][n - e]
         p.append(p_n)
         for j in range(1, top):
             if n > limits[j]:
@@ -139,28 +144,38 @@ def _solve(d: int, q_value, order: int) -> list:
     power_k = p if k == 1 else square
     for _ in range(k - 2):
         power_k = _product(power_k, p, order)
-    rhs = [ring(1)] + square[:order]
+    rhs = [1] + [s * a for a in square[:order]]
     for n in range(e, order + 1):
-        rhs[n] += q * power_k[n - e]
+        rhs[n] += c * power_k[n - e]
     if rhs != p:
         raise ArithmeticError("coefficients do not satisfy the functional equation")
-    return p
+    return p, s
+
+
+def _unscale(coeffs, s, order: int) -> TruncSeries:
+    """The series whose coefficient n is coeffs[n] / s^n."""
+    if s == 1:
+        return TruncSeries(coeffs, order)
+    return TruncSeries([Fraction(a, s ** n) for n, a in enumerate(coeffs)], order)
 
 
 def solve_P(d: int, q_value, order: int) -> TruncSeries:
     """Unique solution with constant term 1 of the marked-path equation
     P = 1 + xP^2 + q x^(d+1) P^d (q x^2 P^2 in place of the last term when
     d = 0), checked by substitution."""
-    return TruncSeries(_solve(d, q_value, order), order)
+    p, s = _solve(d, q_value, order)
+    return _unscale(p, s, order)
 
 
 def series_Q(d: int, q_value, order: int) -> TruncSeries:
     """Generating series for Dyck paths with marked DDU^(d+1) factors.
 
     The coefficient of x^n in series_Q(d, q-1, N) is the sum of
-    q^(number of factors) over Dyck paths of semilength n.
+    q^(number of factors) over Dyck paths of semilength n.  In the scaled
+    series of _solve, each 1/(1 - x S) is 1/(1 - x s S~).
     """
-    r = _inv_one_minus_x(_solve(d, q_value, order), order)
+    p, s = _solve(d, q_value, order)
+    r = _inv_one_minus_x([s * a for a in p], order)
     if d > 0:
-        r = _inv_one_minus_x(r, order)
-    return TruncSeries(r, order)
+        r = _inv_one_minus_x([s * a for a in r], order)
+    return _unscale(r, s, order)

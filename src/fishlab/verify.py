@@ -46,13 +46,17 @@ def _digest(value, other):
 
 
 def _report(check, n, d, expected, actual, start):
+    passed = expected == actual
+    digest = _digest(expected, actual)
     return {
         "check": check,
         "n": n,
         "d": d,
-        "expected": _digest(expected, actual),
-        "actual": _digest(actual, expected),
-        "pass": expected == actual,
+        "expected": digest,
+        # equal sets have equal digests: digest them once
+        "actual": digest if passed and isinstance(actual, (set, frozenset))
+        else _digest(actual, expected),
+        "pass": passed,
         "elapsed_ns": time.perf_counter_ns() - start,
     }
 
@@ -135,48 +139,27 @@ def _hat_images(n, d):
     )
 
 
+def _asc_is_nub_children(label):
+    """The cayley_children of label whose letter is a new value exactly
+    when it ascends.
+
+    Position i is in the nub of a Cayley permutation c iff c_i is a value
+    not seen before, and in its ascent set iff i = 1 or c_i > c_{i-1}; the
+    two sets are equal iff they agree at every position, so no member
+    extends a prefix that breaks this.  A letter v is new iff v > top or v
+    is missing, and ascends iff v > last (last is 0 at the root)."""
+    _, top, missing, last = label
+    return [
+        child for child in seqs.cayley_children(label)
+        if (child[-1] > top or child[-1] in missing) == (child[-1] > last)
+    ]
+
+
 def _asc_is_nub_words(n):
     """The Cayley permutations c of length n with asc_set(c) == nub(c), as
     a list in lexicographic order: the side of modasc0-characterization
-    that does not come from hat, which it never calls.
-
-    Position i is in the nub iff c_i is a value not seen before, and in
-    the ascent set iff i = 1 or c_i > c_{i-1}; the two sets are equal iff
-    they agree at every position.  So a DFS over positions takes as each
-    letter either a new value above the previous letter or a repeat at or
-    below it: no member extends a prefix that breaks this.  As in
-    sequences.enumerate_cayley, a branch is also cut once the values of
-    [1, max] not yet used outnumber the positions left.
-    """
-    if n == 0:
-        return [()]
-    out = []
-    seen = [False] * (n + 1)
-
-    def grow(prefix, prev, top, missing):
-        left = n - len(prefix) - 1  # positions left after this one
-        for v in range(1, n + 1):
-            if v > top:
-                miss = missing + v - top - 1
-                if miss > left:
-                    break  # a larger v leaves even more values missing
-            elif seen[v] == (v > prev):
-                continue  # a repeat that ascends, or a new value that does not
-            else:
-                miss = missing if seen[v] else missing - 1
-                if miss > left:
-                    continue
-            if left:
-                was = seen[v]
-                seen[v] = True
-                grow(prefix + (v,), v, max(top, v), miss)
-                seen[v] = was
-            else:
-                out.append(prefix + (v,))
-
-    grow((), 0, 0, 0)
-    del grow  # break the cycle grow -> its closure -> grow, which holds out
-    return out
+    that does not come from hat, which it never calls."""
+    return seqs.tree_words(n, (n, 0, (), 0), _asc_is_nub_children)
 
 
 @_claim("hat", "modasc0-characterization", _each_n(8, d=0))

@@ -212,11 +212,14 @@ def test_failing_set_report_names_a_witness():
     expected = {(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)}
     actual = {(1, 2, 3), (2, 3, 1)}
     out = io.StringIO()
-    failed = cli._print_reports([
-        verify._report("x", 3, 0, expected, actual, time.monotonic()),
-        verify._report("x", 3, 0, actual, set(actual), time.monotonic()),
-    ], out)
+    reports = [
+        verify._report("x", 3, 0, expected, actual, time.perf_counter_ns()),
+        verify._report("x", 3, 0, actual, set(actual), time.perf_counter_ns()),
+    ]
+    failed = cli._print_reports(reports, out)
     assert failed
+    for report in reports:
+        assert type(report["elapsed_ns"]) is int and report["elapsed_ns"] >= 0
     bad, good = map(json.loads, out.getvalue().splitlines())
     assert bad["pass"] is False and bad["expected"]["count"] == 5
     # the smallest elements of each set difference, at most verify.WITNESSES

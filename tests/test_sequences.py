@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishlab import fishburn, fixtures, hat
+from fishlab import fishburn, fixtures, hat, verify
 from fishlab import sequences as seqs
 
 
@@ -236,6 +236,57 @@ def _cayley_by_set_partitions(n):
 def test_enumerate_cayley_matches_set_partitions():
     for n in range(9):
         assert seqs.enumerate_cayley(n) == _cayley_by_set_partitions(n)
+
+
+# reference oracle: tree_words as a plain DFS, one call per inner node
+def _tree_words_dfs(n, root, children):
+    out = []
+
+    def grow(word, label, left):
+        if left == 0:
+            out.append(word)
+            return
+        for child in children(label):
+            grow(word + (child[-1],), child, left - 1)
+
+    grow((), root, n)
+    return out
+
+
+def _rules(n):
+    """(root, children) of every rule tree_words runs on, for length n."""
+    rules = [((d, 0, 0), hat.d_asc_children) for d in range(4)]
+    return rules + [
+        ((0, 0), hat.weak_descent_children),
+        ((n, 0, (), 0), seqs.cayley_children),
+        ((n, 0, (), 0), verify._asc_is_nub_children),
+    ]
+
+
+def test_tree_words_matches_plain_dfs():
+    for n in range(9):
+        for root, children in _rules(n):
+            assert seqs.tree_words(n, root, children) == _tree_words_dfs(
+                n, root, children), (n, children.__name__, root)
+
+
+def _fubini(n_max):
+    # ordered set partitions: a(n) = sum_k C(n, k) a(n - k), a(0) = 1
+    a = [1]
+    for n in range(1, n_max + 1):
+        a.append(sum(comb(n, k) * a[n - k] for k in range(1, n + 1)))
+    return a
+
+
+def test_cayley_rule_counts_and_never_dead_ends():
+    for n, count in enumerate(_fubini(12)):
+        level = {(n, 0, (), 0)}
+        for _ in range(n):
+            # every node above depth n has a child
+            assert all(seqs.cayley_children(label) for label in level)
+            level = {child for label in level for child in seqs.cayley_children(label)}
+        sizes = seqs.level_sizes((n, 0, (), 0), seqs.cayley_children)
+        assert next(islice(sizes, n, None)) == count
 
 
 def _zagier_fishburn(N):

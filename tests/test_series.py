@@ -40,6 +40,38 @@ def reference_series_Q(d, q_value, order):
     return (1 - x * (1 - x * p).reciprocal()).reciprocal()
 
 
+def fraction_solve(d, q_value, order):
+    """Coefficients of P = 1 + xP^2 + q x^e P^k read off one at a time in
+    Fraction, each power of P kept up to date as each coefficient lands:
+    the engine before it moved to integers for every q."""
+    q = Fraction(q_value)
+    e, k = (2, 2) if d == 0 else (d + 1, d)
+    powers = [[] for _ in range(max(2, k))]  # powers[j - 1] holds P^j
+    p = powers[0]
+    for n in range(order + 1):
+        p_n = Fraction(1) if n == 0 else powers[1][n - 1]
+        if n >= e:
+            p_n += q * powers[k - 1][n - e]
+        p.append(p_n)
+        for j in range(1, len(powers)):
+            powers[j].append(sum(p[i] * powers[j - 1][n - i] for i in range(n + 1)))
+    return p
+
+
+def fraction_inv_one_minus_x(s, order):
+    r = [Fraction(1)]
+    for m in range(1, order + 1):
+        r.append(sum(s[i] * r[m - 1 - i] for i in range(m)))
+    return r
+
+
+def fraction_series_Q(d, q_value, order):
+    r = fraction_inv_one_minus_x(fraction_solve(d, q_value, order), order)
+    if d > 0:
+        r = fraction_inv_one_minus_x(r, order)
+    return r
+
+
 def int_product(a, b, order):
     a = a + [0] * (order + 1 - len(a))
     b = b + [0] * (order + 1 - len(b))
@@ -150,6 +182,15 @@ def test_engine_matches_fixed_point_reference(d):
         for order in (0, 1, 2, 3, 7, 20):
             assert solve_P(d, q, order) == reference_solve_P(d, q, order)
             assert series_Q(d, q, order) == reference_series_Q(d, q, order)
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_integer_engine_matches_fraction_engine(d):
+    # for q = r/s the engine works on the integers s^n p_n and divides once
+    for q in (Fraction(-3, 7), Fraction(1, 2), Fraction(5, 3), -1, 0, 2):
+        for order in range(21):
+            assert list(solve_P(d, q, order).coeffs) == fraction_solve(d, q, order)
+            assert list(series_Q(d, q, order).coeffs) == fraction_series_Q(d, q, order)
 
 
 def test_solve_P_rejects_negative_order():
