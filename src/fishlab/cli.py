@@ -146,9 +146,16 @@ def _print_reports(reports, out):
 @_usage_errors
 def cmd_verify(args, out) -> int:
     _require_nonnegative(n_max=args.n_max, d_max=args.d_max)
-    # each claim's grid caps n and d at what its check can afford
+    # each claim's grid caps n and d at what its check can afford; a claim
+    # whose grid is empty leaves no row, so stderr names it
+    sizes = f"--n-max {args.n_max} --d-max {args.d_max}"
+    for claim in verify.claims_of(args.suite):
+        if not claim.grid(args.n_max, args.d_max):
+            for name in claim.names:
+                print(f"verify: {name} has no point at {sizes}", file=sys.stderr)
     reports = verify.run_suite(args.suite, args.n_max, args.d_max)
-    return 1 if _print_reports(reports, out) else 0
+    # a run with no rows checks nothing, so it does not pass
+    return 1 if _print_reports(reports, out) or not reports else 0
 
 
 def table_cost(n_max: int, d_max: int) -> int:

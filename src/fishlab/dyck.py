@@ -4,10 +4,11 @@ generating trees with their label isomorphism.
 Paths are ASCII strings over U and D.
 """
 
+import math
 from itertools import islice
 
 from .fishburn import check_perm
-from .sequences import check_n, level_sizes
+from .sequences import check_n, level_sizes, tree_words
 
 
 def is_dyck(path: str) -> bool:
@@ -25,21 +26,26 @@ def is_dyck(path: str) -> bool:
 
 
 def phi_213(p) -> str:
-    """Recursive first-letter decomposition p = p_1 L R -> U phi(L) D phi(R).
+    """First-letter decomposition p = p_1 L R -> U phi(L) D phi(R).
     Defined exactly on the 213-avoiding permutations: those whose entries
-    above p_1 (L) all precede those below it (R) at each step."""
+    above p_1 (L) all precede those below it (R) at each step.  Then an
+    entry's D ends its L, at the next entry below it: one pass over p pops,
+    at each v, the entries above v, a D each, then pushes v with its U.  A
+    213 b a c shows as a c above the last entry popped, which is b or less."""
     check_perm(p)
-
-    def rec(q):
-        if not q:
-            return ""
-        v = q[0]
-        k = 1 + sum(x > v for x in q)  # L is q[1:k] iff nothing below v is in it
-        if any(x < v for x in q[1:k]):
+    out = []
+    due = []
+    floor = math.inf  # the last entry popped
+    for v in p:
+        if v > floor:
             raise ValueError(f"permutation contains 213: {p}")
-        return "U" + rec(q[1:k]) + "D" + rec(q[k:])
-
-    return rec(tuple(p))
+        while due and due[-1] > v:
+            floor = due.pop()
+            out.append("D")
+        due.append(v)
+        out.append("U")
+    out.append("D" * len(due))
+    return "".join(out)
 
 
 def count_ddu_factor(path: str, d: int) -> int:
@@ -49,60 +55,55 @@ def count_ddu_factor(path: str, d: int) -> int:
     return sum(path[i : i + k] == target for i in range(len(path) - k + 1))
 
 
+def dyck_children(state):
+    """The Dyck path tree on states (height, up steps left), root (0, n)
+    for semilength n: U while an up step is left, then D above the axis."""
+    height, ups = state
+    out = [("U", (height + 1, ups - 1))] if ups else []
+    if height:
+        out.append(("D", (height - 1, ups)))
+    return out
+
+
 def enumerate_dyck_paths(n: int) -> list:
     """All Dyck paths of semilength n, as a list, U before D at each step."""
     check_n(n)
-    out = []
+    return list(map("".join, tree_words(2 * n, (0, n), dyck_children)))
 
-    def grow(path, height, ups):
-        if len(path) == 2 * n:
-            out.append(path)
-            return
-        if ups < n:
-            grow(path + "U", height + 1, ups + 1)
-        if height > 0:
-            grow(path + "D", height - 1, ups)
 
-    grow("", 0, 0)
-    del grow  # break the cycle grow -> its closure -> grow, which holds out
-    return out
+def avoider_213_children(unused):
+    """The 213-avoider tree on states the unused values, increasing, root
+    (1, ..., n).  A letter v is refused iff a used u lies between it and the
+    largest unused m, as u v m would be a 213: the next letter lies in the
+    top run of consecutive unused values.  No other 213 arises: in a 213
+    u x v, x was refused, as u lay between x and the then unused v."""
+    k = len(unused) - 1
+    while k > 0 and unused[k - 1] + 1 == unused[k]:
+        k -= 1
+    return [(unused[i], unused[:i] + unused[i + 1 :]) for i in range(k, len(unused))]
 
 
 def enumerate_avoiders_213(n: int) -> list:
     """All 213-avoiding permutations of [n], as a list in lexicographic
-    order: first entry, then the larger values, then the smaller ones."""
+    order: the leaves of the avoider_213_children tree."""
     check_n(n)
-
-    def rec(values):
-        if not values:
-            return [()]
-        out = []
-        for i, v in enumerate(values):
-            rights = rec(values[:i])
-            for left in rec(values[i + 1 :]):
-                out += [(v,) + left + right for right in rights]
-        return out
-
-    return rec(tuple(range(1, n + 1)))
+    return tree_words(n, tuple(range(1, n + 1)), avoider_213_children)
 
 
-OMEGA_ROOT = (1, 1)
-THETA_ROOT = (0, 1)
-
-
+# the labels (a, l) and (w, u) end in the last letter
 def omega_children(label):
     a, ell = label
-    return [(a, i) for i in range(1, ell)] + [(a + 1, i) for i in range(ell + 1, a + 2)]
+    return [(i, (a, i)) for i in range(1, ell)] + [(i, (a + 1, i)) for i in range(ell + 1, a + 2)]
 
 
 def theta_children(label):
     w, u = label
-    return [(w + 1, i) for i in range(1, u + 1)] + [(w, i) for i in range(u + 1, w + 2)]
+    return [(i, (w + 1, i)) for i in range(1, u + 1)] + [(i, (w, i)) for i in range(u + 1, w + 2)]
 
 
 def gen_tree_counts(rule: str, depth: int):
     """The first depth level sizes of the generating tree."""
-    trees = {"Omega": (OMEGA_ROOT, omega_children), "Theta": (THETA_ROOT, theta_children)}
+    trees = {"Omega": ((1, 1), omega_children), "Theta": ((0, 1), theta_children)}
     if rule not in trees:
         raise ValueError(f"unknown rule: {rule}")
     if depth < 1:

@@ -4,7 +4,7 @@ subdiagonal permutations."""
 import math
 from itertools import permutations
 
-from .sequences import check_d, check_n
+from .sequences import check_d, check_n, tree_words
 
 SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
 
@@ -218,52 +218,34 @@ def subdiagonal(p, mode: str) -> bool:
     return True
 
 
+def subdiagonal_children(state):
+    """The subdiagonal tree on states (increasing, unused, cap, last): the
+    direction of the runs, the unused values, increasing, and the cap
+    n + 1 - b of the run block b of the last value.  A letter v is refused
+    when it exceeds the cap of its block, or when the values left could no
+    longer follow it: in two runs, those that continue v's run, then the
+    rest in the next block.  Only top may not fit, and it continues v's
+    run only if the runs increase.  So every node above depth n has a child."""
+    increasing, unused, cap, last = state
+    top = unused[-1]
+    out = []
+    for i, v in enumerate(unused):
+        c = cap if (last < v if increasing else last > v) else cap - 1
+        if v <= c and (v == top or top <= (c if increasing else c - 1)):
+            out.append((v, (increasing, unused[:i] + unused[i + 1 :], c, v)))
+    return out
+
+
 def enumerate_subdiagonal(n: int, mode: str) -> list:
     """The permutations of [n] that subdiagonal(p, mode) accepts, as a list
-    in lexicographic order.
-
-    A depth-first search that places the unused values left to right,
-    smallest first, and tracks the index b of the run block the last value
-    sits in.  A value is refused when it exceeds n + 1 - b for its block b,
-    or when the values left could then no longer all be placed.  So every
-    branch ends in a member, the search costs O(n) per prefix of a member,
-    and its order is already lexicographic: the members are appended with
-    no sort.
-    """
+    in lexicographic order: the leaves of the subdiagonal_children tree,
+    whose root's last value no first value continues the run of."""
     if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
     check_n(n)
-    if n == 0:
-        return [()]
     increasing = mode == "increasing-runs"
-    used = [False] * (n + 1)
-    out = []
-
-    def grow(prefix, block, top):
-        # top is the largest unused value
-        if len(prefix) == n - 1:
-            out.append(prefix + (top,))
-            return
-        # a sentinel that no first value continues the run of
-        last = prefix[-1] if prefix else (n + 1 if increasing else 0)
-        below = 0  # the largest unused value below v
-        for v in range(1, top + 1):
-            if used[v]:
-                continue
-            b = block if (last < v if increasing else last > v) else block + 1
-            # the values left can follow v in two runs: those that continue
-            # v's run, then the rest in block b + 1.  Only top may not fit,
-            # and it continues v's run only if the runs increase
-            room = n + 1 - b if increasing else n - b
-            if v <= n + 1 - b and (v == top or top <= room):
-                used[v] = True
-                grow(prefix + (v,), b, below if v == top else top)
-                used[v] = False
-            below = v
-
-    grow((), 0, n)
-    del grow  # break the cycle grow -> its closure -> grow, which holds out
-    return out
+    root = increasing, tuple(range(1, n + 1)), n + 1, n + 1 if increasing else 0
+    return tree_words(n, root, subdiagonal_children)
 
 
 def enumerate_perms(n: int) -> list:

@@ -122,18 +122,18 @@ def h_orbit(w):
     return tuple(_orbit(w))
 
 
-def d_asc_children(label):
-    """The d-ascent sequence tree on labels (d, d-ascents, last letter), root
-    (d, 0, 0): a letter b after a is a d-ascent iff b > a - d."""
-    d, dasc, a = label
-    return [(d, dasc + (b > a - d), b) for b in range(1, dasc + 2)]
+def d_asc_children(state):
+    """The d-ascent sequence tree on states (d, d-ascents, last letter),
+    root (d, 0, 0): a letter b after a is a d-ascent iff b > a - d."""
+    d, dasc, a = state
+    return [(b, (d, dasc + (b > a - d), b)) for b in range(1, dasc + 2)]
 
 
-def weak_descent_children(label):
-    """The weak descent sequence tree on labels (weak descents, last
+def weak_descent_children(state):
+    """The weak descent sequence tree on states (weak descents, last
     letter), root (0, 0): a letter b after a is a weak descent iff b <= a."""
-    wdes, a = label
-    return [(wdes + (b <= a), b) for b in range(1, wdes + 2)]
+    wdes, a = state
+    return [(b, (wdes + (b <= a), b)) for b in range(1, wdes + 2)]
 
 
 def enumerate_d_asc(n: int, d: int) -> list:
@@ -178,16 +178,16 @@ def _as_tuples(leaves: list) -> list:
     return leaves
 
 
-def hat_tree_children(label):
-    """The tree of _hat_tree on labels (lo, hi, dasc, last letter), root
+def hat_tree_children(state):
+    """The tree of _hat_tree on states (lo, hi, dasc, last letter), root
     (lo, hi, 0, 0); _hat_tree inlines it, as a generator ran 1.6-2.8x slower."""
-    lo, hi, dasc, b = label
+    lo, hi, dasc, b = state
     for a in range(1, dasc + 2):
         t = b - a + 1
         if lo < t:
-            yield lo, min(hi, t - 1), dasc, a
+            yield a, (lo, min(hi, t - 1), dasc, a)
         if t <= hi:
-            yield max(lo, t), hi, dasc + 1, a
+            yield a, (max(lo, t), hi, dasc + 1, a)
 
 
 def _hat_tree(n: int, lo: int, hi: int) -> list:

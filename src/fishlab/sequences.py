@@ -5,11 +5,14 @@ A word w = a_1 ... a_n is stored as a tuple of ints with 1 <= a_i <= n
 empty word () is valid everywhere.  Position 1 always counts as an
 ascent (and a d-ascent).
 
-It also holds the one generating-tree layer: a tree is a root label and
-a children rule, level_sizes counts its levels by a DP on the labels, and
-tree_words lists the words of its leaves, building the subtrees below
-half the depth once per label.  Cayley permutations are the leaves of the
-cayley_children rule.
+It also holds the one generating-tree layer.  A tree is a root state and
+a children rule, which maps a state to its children as (letter, state)
+pairs, the state holding only what the rule reads.  level_sizes counts
+the levels by a DP on the states, and tree_words lists the words of the
+leaves, building the subtrees below half the depth once per state.  The
+rules: cayley_children here, d_asc_children and weak_descent_children in
+hat, subdiagonal_children in fishburn, and dyck_children and
+avoider_213_children in dyck.
 """
 
 from collections import Counter
@@ -153,55 +156,55 @@ def avoids_all(w, patterns) -> bool:
 
 def level_sizes(root, children):
     """The level sizes, from depth 0 on and without end, of the generating
-    tree whose root label sits at depth 0 and whose node labelled x has one
-    child per label in children(x): a DP on the label multiplicities."""
+    tree whose root state sits at depth 0 and whose node in state x has
+    one child per pair in children(x): a DP on the state multiplicities."""
     level = Counter({root: 1})
     while True:
         yield sum(level.values())
         nxt = Counter()
-        for label, mult in level.items():
-            for child in children(label):
+        for state, mult in level.items():
+            for _, child in children(state):
                 nxt[child] += mult
         level = nxt
 
 
 def tree_words(n: int, root, children) -> list:
-    """The leaves at depth n of a generating tree (see level_sizes) whose
-    labels end in a letter, as a list in the order of the children, each
-    the word of the letters on its path; the last level makes no call.
+    """The leaves at depth n of a generating tree (see level_sizes), as a
+    list in the order of the children, each the word of the letters on its
+    path; the states at depth n are never asked for their children.
 
-    Two nodes with one label have the same subtrees.  So the prefixes down
+    Two nodes in one state have the same subtrees.  So the prefixes down
     to depth n // 2 are built level by level, which keeps their order, and
-    below that depth the words of length m under a label, its tails, are
-    built once per (label, m), from the tails of its children.  A prefix
-    then takes the tails of its label by one concatenation per leaf."""
+    below that depth the words of length m under a state, its tails, are
+    built once per (state, m), from the tails of its children.  A prefix
+    then takes the tails of its state by one concatenation per leaf."""
     check_n(n)
     if n == 0:
         return [()]
     split = n // 2
     heads = [((), root)]
     for _ in range(split):
-        heads = [(word + (child[-1],), child)
-                 for word, label in heads for child in children(label)]
+        heads = [(word + (letter,), child)
+                 for word, state in heads for letter, child in children(state)]
     tails = {}
 
-    def grow(label, length):
-        key = label, length
+    def grow(state, length):
+        key = state, length
         words = tails.get(key)
         if words is None:
             if length == 1:
-                words = [(child[-1],) for child in children(label)]
+                words = [(letter,) for letter, _ in children(state)]
             else:
                 words = []
-                for child in children(label):
-                    letter = child[-1],
+                for letter, child in children(state):
+                    letter = letter,
                     words += [letter + tail for tail in grow(child, length - 1)]
             tails[key] = words
         return words
 
     out = []
-    for word, label in heads:
-        out.extend([word + tail for tail in grow(label, n - split)])
+    for word, state in heads:
+        out.extend([word + tail for tail in grow(state, n - split)])
     del grow, tails  # break the cycle grow -> its closure -> grow; free the tails
     return out
 
@@ -212,30 +215,30 @@ def enumerate_inversion(n: int) -> list:
     return list(product(*(range(1, i + 1) for i in range(1, n + 1))))
 
 
-def cayley_children(label):
-    """The Cayley permutation tree on labels (left, top, missing, last
-    letter), root (n, 0, (), 0) for words of length n: left positions to
-    fill, top the largest letter so far and missing the values of [1, top]
-    not yet used, increasing.  The letters 1..top are tried in increasing
-    order, then each new top above it; a child is cut once the values
-    missing after it outnumber the positions left after it.  Every node
-    above depth n therefore has a child, and its leaves are the members."""
-    left, top, missing, _ = label
+def cayley_children(state):
+    """The Cayley permutation tree on states (left, top, missing), root
+    (n, 0, ()) for words of length n: left positions to fill, top the
+    largest letter so far and missing the values of [1, top] not yet used,
+    increasing.  The letters 1..top are tried in increasing order, then
+    each new top above it; a child is cut once the values missing after it
+    outnumber the positions left after it.  Every node above depth n
+    therefore has a child, and its leaves are the members."""
+    left, top, missing = state
     left -= 1  # positions left after the child's letter
     out = []
     repeat = len(missing) <= left  # room for a letter that is no new value
     for v in range(1, top + 1):
         if v in missing:
             i = missing.index(v)
-            out.append((left, top, missing[:i] + missing[i + 1:], v))
+            out.append((v, (left, top, missing[:i] + missing[i + 1:])))
         elif repeat:
-            out.append((left, top, missing, v))
+            out.append((v, (left, top, missing)))
     for v in range(top + 1, top + 2 + left - len(missing)):
-        out.append((left, v, missing + tuple(range(top + 1, v)), v))
+        out.append((v, (left, v, missing + tuple(range(top + 1, v)))))
     return out
 
 
 def enumerate_cayley(n: int) -> list:
     """All Cayley permutations of length n, as a sorted list: the leaves
     of the cayley_children tree, O(n) per word."""
-    return tree_words(n, (n, 0, (), 0), cayley_children)
+    return tree_words(n, (n, 0, ()), cayley_children)

@@ -14,6 +14,8 @@ when the result is wrapped in a TruncSeries at the end.
 from fractions import Fraction
 from operator import mul
 
+from .sequences import check_d
+
 
 class TruncSeries:
     __slots__ = ("order", "coeffs")
@@ -113,10 +115,9 @@ def _solve(d: int, q_value, order: int) -> tuple:
     P~^1 .. P~^max(2, k) are kept up to date as each lands.  The result is
     checked by substitution.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_d(d)
+    if not isinstance(order, int) or order < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
     q = Fraction(q_value)
     s = q.denominator
     # for d >= 1 the marked step contributes U' P (D P)^(d-1), whose image

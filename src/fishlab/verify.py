@@ -139,19 +139,19 @@ def _hat_images(n, d):
     )
 
 
-def _asc_is_nub_children(label):
-    """The cayley_children of label whose letter is a new value exactly
-    when it ascends.
+def _asc_is_nub_children(state):
+    """The cayley_children of a state (left, top, missing, last letter)
+    whose letter is a new value exactly when it ascends.
 
     Position i is in the nub of a Cayley permutation c iff c_i is a value
     not seen before, and in its ascent set iff i = 1 or c_i > c_{i-1}; the
     two sets are equal iff they agree at every position, so no member
     extends a prefix that breaks this.  A letter v is new iff v > top or v
     is missing, and ascends iff v > last (last is 0 at the root)."""
-    _, top, missing, last = label
+    _, top, missing, last = state
     return [
-        child for child in seqs.cayley_children(label)
-        if (child[-1] > top or child[-1] in missing) == (child[-1] > last)
+        (v, child + (v,)) for v, child in seqs.cayley_children(state[:3])
+        if (v > top or v in missing) == (v > last)
     ]
 
 
@@ -345,10 +345,10 @@ def _tree_iso(n, d):
         for ell in range(1, a + 1):
             image = dyck.tree_iso_map((a, ell), "omega-to-theta")
             ok = ok and dyck.tree_iso_map(image, "theta-to-omega") == (a, ell)
-            want = Counter(dyck.theta_children(image))
+            want = Counter(c for _, c in dyck.theta_children(image))
             got = Counter(
                 dyck.tree_iso_map(c, "omega-to-theta")
-                for c in dyck.omega_children((a, ell))
+                for _, c in dyck.omega_children((a, ell))
             )
             ok = ok and want == got
     yield "tree-iso-child-multisets", n, d, True, ok
@@ -447,15 +447,18 @@ def run_claim(claim: Claim, n_max: int, d_max: int):
             start = time.perf_counter_ns()
 
 
+def claims_of(name: str) -> list:
+    """The entries of suite name, or every entry for "all", in registry order."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite: {name}")
+    return [claim for claim in REGISTRY if name in ("all", claim.suite)]
+
+
 def run_suite(name: str, n_max: int, d_max: int):
     """The reports of the entries of suite name, or of every entry for
     "all", in registry order."""
-    if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite: {name}")
     return [
-        report
-        for claim in REGISTRY if name in ("all", claim.suite)
-        for report in run_claim(claim, n_max, d_max)
+        report for claim in claims_of(name) for report in run_claim(claim, n_max, d_max)
     ]
 
 

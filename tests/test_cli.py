@@ -188,6 +188,29 @@ def test_verify_all_small():
         assert all(json.loads(line)["pass"] for line in text.splitlines())
 
 
+def test_verify_names_each_claim_its_grid_leaves_out(capsys):
+    # the tree counts start at depth 1: at --n-max 0 only the label
+    # isomorphism is checked, and stderr names the two claims left out
+    code, text = run(["verify", "--suite", "trees", "--n-max", "0"])
+    assert code == 0
+    assert [json.loads(line)["check"] for line in text.splitlines()] == [
+        "tree-iso-child-multisets"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"verify: {name} has no point at --n-max 0 --d-max 2"
+        for name in ("omega-counts-primitive", "theta-counts-wdesc")
+    ]
+
+
+def test_verify_run_with_no_rows_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "REGISTRY", [
+        claim for claim in verify.REGISTRY if claim.names == ("omega-counts-primitive",)])
+    code, text = run(["verify", "--suite", "trees", "--n-max", "0"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.splitlines() == [
+        "verify: omega-counts-primitive has no point at --n-max 0 --d-max 2"]
+    assert run(["verify", "--suite", "trees", "--n-max", "1"])[0] == 0
+
+
 def test_verify_clamps_sizes_to_each_grid():
     # every dyck claim runs at d <= 3, so a larger --d-max changes nothing
     huge = run(["verify", "--suite", "dyck", "--n-max", "3", "--d-max", "1000000"])

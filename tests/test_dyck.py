@@ -29,6 +29,45 @@ def test_enumerate_dyck_paths_counts():
         assert all(dyck.is_dyck(p) for p in paths)
 
 
+# reference oracles: the Dyck path and 213-avoider generators as they were
+# before they became rules on sequences.tree_words, each a recursive search
+def _dyck_paths_by_recursion(n):
+    out = []
+
+    def grow(path, height, ups):
+        if len(path) == 2 * n:
+            out.append(path)
+            return
+        if ups < n:
+            grow(path + "U", height + 1, ups + 1)
+        if height > 0:
+            grow(path + "D", height - 1, ups)
+
+    grow("", 0, 0)
+    return out
+
+
+def _avoiders_213_by_recursion(n):
+    # first entry, then the larger values, then the smaller ones
+    def rec(values):
+        if not values:
+            return [()]
+        out = []
+        for i, v in enumerate(values):
+            rights = rec(values[:i])
+            for left in rec(values[i + 1 :]):
+                out += [(v,) + left + right for right in rights]
+        return out
+
+    return rec(tuple(range(1, n + 1)))
+
+
+def test_generators_match_their_recursive_oracles():
+    for n in range(11):
+        assert dyck.enumerate_dyck_paths(n) == _dyck_paths_by_recursion(n)
+        assert dyck.enumerate_avoiders_213(n) == _avoiders_213_by_recursion(n)
+
+
 def test_enumerate_avoiders_213_counts():
     for n in range(9):
         avoiders = set(dyck.enumerate_avoiders_213(n))
@@ -109,9 +148,10 @@ def test_tree_iso_commutes_with_children():
         for ell in range(1, a + 1):
             mapped = sorted(
                 dyck.tree_iso_map(c, "omega-to-theta")
-                for c in dyck.omega_children((a, ell))
+                for _, c in dyck.omega_children((a, ell))
             )
             direct = sorted(
+                c for _, c in
                 dyck.theta_children(dyck.tree_iso_map((a, ell), "omega-to-theta"))
             )
             assert mapped == direct
@@ -146,6 +186,16 @@ def test_phi_213_matches_pattern_check():
     for n in range(8):
         for p in permutations(range(1, n + 1)):
             assert _outcome(dyck.phi_213, p) == _outcome(_phi_213_by_pattern, p)
+
+
+def test_phi_213_on_long_monotone_permutations():
+    # far past the depth of a recursive decomposition
+    n = 3000
+    assert dyck.phi_213(tuple(range(1, n + 1))) == "U" * n + "D" * n
+    assert dyck.phi_213(tuple(range(n, 0, -1))) == "UD" * n
+    p = (2, 1) + tuple(range(3, n + 1))
+    with pytest.raises(ValueError, match="contains 213"):
+        dyck.phi_213(p)
 
 
 def test_phi_213_rejects_non_permutations():

@@ -195,6 +195,44 @@ def test_enumerate_subdiagonal_matches_filter(mode):
         assert list(fishburn.enumerate_subdiagonal(n, mode)) == _subdiagonal_filter(n, mode)
 
 
+# reference oracle: enumerate_subdiagonal as it was before it became a rule
+# on sequences.tree_words, a recursive search with the same two cuts
+def _subdiagonal_by_recursion(n, mode):
+    if n == 0:
+        return [()]
+    increasing = mode == "increasing-runs"
+    used = [False] * (n + 1)
+    out = []
+
+    def grow(prefix, block, top):
+        # top is the largest unused value
+        if len(prefix) == n - 1:
+            out.append(prefix + (top,))
+            return
+        # a sentinel that no first value continues the run of
+        last = prefix[-1] if prefix else (n + 1 if increasing else 0)
+        below = 0  # the largest unused value below v
+        for v in range(1, top + 1):
+            if used[v]:
+                continue
+            b = block if (last < v if increasing else last > v) else block + 1
+            room = n + 1 - b if increasing else n - b
+            if v <= n + 1 - b and (v == top or top <= room):
+                used[v] = True
+                grow(prefix + (v,), b, below if v == top else top)
+                used[v] = False
+            below = v
+
+    grow((), 0, n)
+    return out
+
+
+@pytest.mark.parametrize("mode", fishburn.SUBDIAGONAL_MODES)
+def test_enumerate_subdiagonal_matches_recursive_search(mode):
+    for n in range(10):
+        assert fishburn.enumerate_subdiagonal(n, mode) == _subdiagonal_by_recursion(n, mode)
+
+
 # reference oracle: subdiagonal as it was before its one pass, with the run
 # blocks built as lists first and every entry checked against its block's cap
 def _subdiagonal_by_blocks(p, mode):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishlab import fishburn, fixtures, hat, verify
+from fishlab import dyck, fishburn, fixtures, hat, verify
 from fishlab import sequences as seqs
 
 
@@ -242,12 +242,12 @@ def test_enumerate_cayley_matches_set_partitions():
 def _tree_words_dfs(n, root, children):
     out = []
 
-    def grow(word, label, left):
+    def grow(word, state, left):
         if left == 0:
             out.append(word)
             return
-        for child in children(label):
-            grow(word + (child[-1],), child, left - 1)
+        for letter, child in children(state):
+            grow(word + (letter,), child, left - 1)
 
     grow((), root, n)
     return out
@@ -258,16 +258,47 @@ def _rules(n):
     rules = [((d, 0, 0), hat.d_asc_children) for d in range(4)]
     return rules + [
         ((0, 0), hat.weak_descent_children),
-        ((n, 0, (), 0), seqs.cayley_children),
+        ((n, 0, ()), seqs.cayley_children),
         ((n, 0, (), 0), verify._asc_is_nub_children),
+        ((True, tuple(range(1, n + 1)), n + 1, n + 1), fishburn.subdiagonal_children),
+        ((False, tuple(range(1, n + 1)), n + 1, 0), fishburn.subdiagonal_children),
+        (tuple(range(1, n + 1)), dyck.avoider_213_children),
+        ((0, n), dyck.dyck_children),
+        ((0, 0, 0, 0), hat.hat_tree_children),
+        ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children),
+        ((1, 1), dyck.omega_children),
+        ((0, 1), dyck.theta_children),
     ]
+
+
+def _depth(n, children):
+    """The depth of the leaves of a rule's tree for length n."""
+    return 2 * n if children is dyck.dyck_children else n
 
 
 def test_tree_words_matches_plain_dfs():
     for n in range(9):
         for root, children in _rules(n):
-            assert seqs.tree_words(n, root, children) == _tree_words_dfs(
-                n, root, children), (n, children.__name__, root)
+            m = _depth(n, children)
+            assert seqs.tree_words(m, root, children) == _tree_words_dfs(
+                m, root, children), (n, children.__name__, root)
+
+
+def test_no_rule_dead_ends_above_its_leaves():
+    # every node above the leaves has a child, so each prefix is the
+    # prefix of a member, and level_sizes only grows with the depth.  The
+    # asc = nub cut of the Cayley rule is the exception, which tree_words
+    # must handle: at n = 2 the prefix 2 leaves only the letter 1, a new
+    # value that does not ascend
+    assert verify._asc_is_nub_children((1, 2, (1,), 2)) == []
+    for n in range(10):
+        for root, children in _rules(n):
+            if children is verify._asc_is_nub_children:
+                continue
+            level = {root}
+            for _ in range(_depth(n, children)):
+                assert all(children(state) for state in level), (n, children.__name__)
+                level = {child for state in level for _, child in children(state)}
 
 
 def _fubini(n_max):
@@ -278,15 +309,34 @@ def _fubini(n_max):
     return a
 
 
+def _level(depth, root, children):
+    return next(islice(seqs.level_sizes(root, children), depth, None))
+
+
 def test_cayley_rule_counts_and_never_dead_ends():
     for n, count in enumerate(_fubini(12)):
-        level = {(n, 0, (), 0)}
+        level = {(n, 0, ())}
         for _ in range(n):
             # every node above depth n has a child
-            assert all(seqs.cayley_children(label) for label in level)
-            level = {child for label in level for child in seqs.cayley_children(label)}
-        sizes = seqs.level_sizes((n, 0, (), 0), seqs.cayley_children)
-        assert next(islice(sizes, n, None)) == count
+            assert all(seqs.cayley_children(state) for state in level)
+            level = {child for state in level for _, child in seqs.cayley_children(state)}
+        assert _level(n, (n, 0, ()), seqs.cayley_children) == count
+
+
+def test_rule_levels_are_catalan_and_fishburn():
+    # the 213-avoiders of [n] and the Dyck paths of semilength n are
+    # counted by Catalan(n), irsub by the Fishburn numbers, and drsub, the
+    # hat_max image of the weak descent sequences, by their count
+    wdesc = seqs.level_sizes((0, 0), hat.weak_descent_children)
+    for n, (fishburn_n, wdesc_n) in enumerate(zip(_zagier_fishburn(10), wdesc)):
+        catalan = comb(2 * n, n) // (n + 1)
+        unused = tuple(range(1, n + 1))
+        assert _level(n, unused, dyck.avoider_213_children) == catalan
+        assert _level(2 * n, (0, n), dyck.dyck_children) == catalan
+        irsub = True, unused, n + 1, n + 1
+        assert _level(n, irsub, fishburn.subdiagonal_children) == fishburn_n
+        drsub = False, unused, n + 1, 0
+        assert _level(n, drsub, fishburn.subdiagonal_children) == wdesc_n
 
 
 def _zagier_fishburn(N):

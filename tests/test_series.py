@@ -200,6 +200,20 @@ def test_solve_P_rejects_negative_order():
         series_Q(1, -1, -1)
 
 
+@pytest.mark.parametrize("f", [solve_P, series_Q])
+@pytest.mark.parametrize("d, order, message", [
+    (1.5, 3, "d must be a nonnegative integer, got 1.5"),
+    ("1", 3, "d must be a nonnegative integer, got '1'"),
+    (-2, 3, "d must be a nonnegative integer, got -2"),
+    (1, 2.0, "order must be a nonnegative integer, got 2.0"),
+    (1, -1, "order must be a nonnegative integer, got -1"),
+])
+def test_series_check_their_arguments_at_the_call(f, d, order, message):
+    with pytest.raises(ValueError) as exc:
+        f(d, -1, order)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("d, g, h", [
     (1, [1, -2, 1], [1, -4, 2, 0, 1]),
     (2, [1, -2, 2], [1, -4, 0, 4]),
