@@ -141,18 +141,32 @@ def _hat_images(n, d):
 
 def _asc_is_nub_children(state):
     """The cayley_children of a state (left, top, missing, last letter)
-    whose letter is a new value exactly when it ascends.
+    whose letter is a new value exactly when it ascends, and after which
+    the missing values can still each be placed as an ascent.
 
     Position i is in the nub of a Cayley permutation c iff c_i is a value
     not seen before, and in its ascent set iff i = 1 or c_i > c_{i-1}; the
     two sets are equal iff they agree at every position, so no member
     extends a prefix that breaks this.  A letter v is new iff v > top or v
-    is missing, and ascends iff v > last (last is 0 at the root)."""
+    is missing, and ascends iff v > last (last is 0 at the root).  With
+    the second cut, every node above depth n has a child."""
     _, top, missing, last = state
     return [
         (v, child + (v,)) for v, child in seqs.cayley_children(state[:3])
-        if (v > top or v in missing) == (v > last)
+        if (v > top or v in missing) == (v > last) and _can_place_missing(*child, v)
     ]
+
+
+def _can_place_missing(left, top, missing, last):
+    """Whether the values missing after a prefix that ends in last can
+    each still be placed as an ascent in the left positions after it.
+
+    They are new values, so they ascend, in increasing order.  When last
+    is not below missing[0], the letters must first drop below it, by a
+    repeat of a smaller value, and there is one iff missing[0] > 1."""
+    if not missing or last < missing[0]:
+        return len(missing) <= left
+    return missing[0] > 1 and len(missing) < left
 
 
 def _asc_is_nub_words(n):
@@ -426,9 +440,7 @@ def count_213_fishburn(n: int, d: int) -> int:
     return sum(fishburn.is_d_fishburn(p, d) for p in dyck.enumerate_avoiders_213(n))
 
 
-@_claim("series", "table-213-cross-check", lambda n_max, d_max: [
-    (n, d) for d in range(min(d_max, 3) + 1) for n in range(min(n_max, 9) + 1)
-])
+@_claim("series", "table-213-cross-check", _each_d_n(9, 3))
 def _table_cross_check(n, d):
     count = count_213_fishburn(n, d)
     yield "table-213-cross-check", n, d, fixtures.TABLE_213[d][n], count

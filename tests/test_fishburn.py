@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from fishlab import burge, fishburn, fixtures, hat
 from fishlab import sequences as seqs
 
+from helpers import accepts, outcome
+
 
 def test_d_active_elements_example():
     perm, d, expected = fixtures.ACTIVE_EXAMPLE
@@ -30,25 +32,6 @@ def test_activity_monotone_in_d():
             cur = fishburn.d_active_elements(p, d)
             assert prev <= cur
             prev = cur
-
-
-def test_is_d_fishburn_counts():
-    # d = 0 gives the Fishburn numbers
-    expected = [1, 1, 2, 5, 15, 53, 217, 1014]
-    for n in range(8):
-        count = sum(
-            fishburn.is_d_fishburn(p, 0) for p in permutations(range(1, n + 1))
-        )
-        assert count == expected[n]
-
-
-def test_is_d_fishburn_matches_pattern_class():
-    for d in range(4):
-        for n in range(7):
-            for p in permutations(range(1, n + 1)):
-                by_sites = fishburn.is_d_fishburn(p, d)
-                by_pattern = not fishburn.contains_fishburn_pattern(p, d)
-                assert by_sites == by_pattern
 
 
 def _contains_sigma_oracle(p, d):
@@ -90,26 +73,6 @@ def test_active_site_gaps_example():
     assert len(gaps) == len(expected) + 1
 
 
-def test_phi_d_matches_burget_hat():
-    for d in range(4):
-        for n in range(7):
-            for w in hat.enumerate_d_asc(n, d):
-                assert fishburn.phi_d(w, d) == burge.burget(hat.hat_d(w, d))
-
-
-def test_phi_d_image_is_fishburn_class():
-    for d in range(3):
-        for n in range(7):
-            image = {fishburn.phi_d(w, d) for w in hat.enumerate_d_asc(n, d)}
-            direct = {
-                p
-                for p in permutations(range(1, n + 1))
-                if fishburn.is_d_fishburn(p, d)
-            }
-            assert image == direct
-            assert len(image) == len(list(hat.enumerate_d_asc(n, d)))
-
-
 def test_phi_d_parent_recovers_insertion():
     for d in range(3):
         for n in range(1, 7):
@@ -144,25 +107,6 @@ def test_subdiagonal_classes():
     assert not fishburn.subdiagonal((2, 1, 6, 5, 4, 3, 7), "decreasing-runs")
     with pytest.raises(ValueError):
         fishburn.subdiagonal((1,), "zigzag")
-
-
-def test_subdiagonal_images_of_hat_max():
-    # hat_max carries plain ascent sequences onto the increasing-run class
-    # and weak descent sequences onto the decreasing-run class
-    for n in range(7):
-        direct = {
-            p
-            for p in permutations(range(1, n + 1))
-            if fishburn.subdiagonal(p, "increasing-runs")
-        }
-        assert {hat.hat_max(w) for w in hat.enumerate_d_asc(n, 0)} == direct
-
-        dec = {
-            p
-            for p in permutations(range(1, n + 1))
-            if fishburn.subdiagonal(p, "decreasing-runs")
-        }
-        assert {hat.hat_max(w) for w in hat.enumerate_weak_descent(n)} == dec
 
 
 # reference oracles: all n! permutations filtered through the public
@@ -310,14 +254,6 @@ def _d_fishburn_flag_tree(n, d):
     return out
 
 
-def _outcome(f, *args):
-    """f(*args), or the message of the ValueError it raises."""
-    try:
-        return f(*args)
-    except ValueError as err:
-        return ("ValueError", str(err))
-
-
 def test_phi_d_matches_flags():
     for d in range(4):
         for n in range(8):
@@ -326,7 +262,7 @@ def test_phi_d_matches_flags():
         # every word of length <= 5 over [-1, n + 1]: mostly non-members
         for n in range(6):
             for w in product(range(-1, n + 2), repeat=n):
-                assert _outcome(fishburn.phi_d, w, d) == _outcome(_phi_d_by_flags, w, d)
+                assert outcome(fishburn.phi_d, w, d) == outcome(_phi_d_by_flags, w, d)
 
 
 def test_enumerate_d_fishburn_matches_flag_tree():
@@ -434,15 +370,7 @@ def test_phi_d_parent_matches_two_sweeps():
     for d in range(4):
         for n in range(8):
             for p in permutations(range(1, n + 1)):
-                assert _outcome(fishburn.phi_d_parent, p, d) == _outcome(_phi_d_parent_two_sweeps, p, d)
-
-
-def _accepts(f, *args):
-    try:
-        f(*args)
-    except ValueError:
-        return False
-    return True
+                assert outcome(fishburn.phi_d_parent, p, d) == outcome(_phi_d_parent_two_sweeps, p, d)
 
 
 def test_maps_accept_exactly_their_domains():
@@ -453,14 +381,14 @@ def test_maps_accept_exactly_their_domains():
         inversion = set(seqs.enumerate_inversion(n))
         perms = set(permutations(range(1, n + 1)))
         for w in words:
-            assert _accepts(burge.burget, w) == (w in cayley)
-            assert _accepts(hat.hat_max, w) == (w in inversion)
-            assert _accepts(fishburn.d_active_elements, w, 0) == (w in perms)
+            assert accepts(burge.burget, w) == (w in cayley)
+            assert accepts(hat.hat_max, w) == (w in inversion)
+            assert accepts(fishburn.d_active_elements, w, 0) == (w in perms)
         for d in range(4):
             dasc = set(hat.enumerate_d_asc(n, d))
             for w in words:
-                assert _accepts(hat.hat_d, w, d) == (w in dasc)
-                assert _accepts(fishburn.phi_d, w, d) == (w in dasc)
+                assert accepts(hat.hat_d, w, d) == (w in dasc)
+                assert accepts(fishburn.phi_d, w, d) == (w in dasc)
 
 
 @st.composite
@@ -486,9 +414,9 @@ def words_near_d_ascent(draw, max_n=9, max_d=4):
 def test_maps_accept_exactly_their_domains_past_length_4(wd):
     w, d = wd
     member = seqs.is_d_ascent_seq(w, d)
-    assert _accepts(hat.hat_d, w, d) == member
-    assert _accepts(fishburn.phi_d, w, d) == member
-    assert _accepts(hat.hat_max, w) == seqs.is_inversion(w)
+    assert accepts(hat.hat_d, w, d) == member
+    assert accepts(fishburn.phi_d, w, d) == member
+    assert accepts(hat.hat_max, w) == seqs.is_inversion(w)
     if member:
         image = hat.hat_d(w, d)
         assert hat.hat_inv(image) == w
@@ -510,7 +438,7 @@ def words_near_permutations(draw, max_n=9):
 @given(words_near_permutations(), st.integers(0, 4))
 def test_d_active_elements_accepts_exactly_permutations_past_length_4(p, d):
     member = len(set(p)) == len(p) and all(1 <= v <= len(p) for v in p)
-    assert _accepts(fishburn.d_active_elements, p, d) == member
+    assert accepts(fishburn.d_active_elements, p, d) == member
     if member:
         assert fishburn.d_active_elements(p, d) == _d_active_by_sets(p, d)
 
@@ -522,7 +450,7 @@ def test_d_active_elements_accepts_exactly_permutations_past_length_4(p, d):
 )
 def test_phi_d_parent_raises_exactly_off_the_class(p, d):
     p = tuple(p)
-    assert _accepts(fishburn.phi_d_parent, p, d) == fishburn.is_d_fishburn(p, d)
+    assert accepts(fishburn.phi_d_parent, p, d) == fishburn.is_d_fishburn(p, d)
 
 
 @settings(max_examples=300)

@@ -1,4 +1,3 @@
-import math
 import sys
 from itertools import chain, combinations, islice, permutations, product
 
@@ -8,6 +7,8 @@ from hypothesis import strategies as st
 
 from fishlab import dyck, fishburn, fixtures, hat, verify
 from fishlab import sequences as seqs
+
+from helpers import accepts, outcome
 
 
 def inversion_seqs(max_n=7):
@@ -76,43 +77,9 @@ def test_hat_against_oracle():
                 assert hat.hat_d(w, d) == _hat_oracle(w, d)
 
 
-def test_hat_injective_small():
-    for d in range(4):
-        for n in range(7):
-            domain = list(hat.enumerate_d_asc(n, d))
-            assert len({hat.hat_d(w, d) for w in domain}) == len(domain)
-
-
-def test_hat_inv_roundtrip():
-    for d in range(4):
-        for n in range(7):
-            for w in hat.enumerate_d_asc(n, d):
-                assert hat.hat_inv(hat.hat_d(w, d)) == w
-
-
 @given(inversion_seqs())
 def test_hat_inv_roundtrip_through_hat_max(w):
     assert hat.hat_inv(hat.hat_max(w)) == w
-
-
-def test_hat_image_is_cayley_with_nub_on_d_ascents():
-    for d in range(3):
-        for n in range(7):
-            for w in hat.enumerate_d_asc(n, d):
-                img = hat.hat_d(w, d)
-                assert seqs.is_cayley(img)
-                assert seqs.nub(img) == seqs.d_asc_set(w, d)
-
-
-def test_enumerate_d_asc_cardinalities():
-    # below the threshold the family is counted by factorials,
-    # at length d+3 the count drops to (d+3)! - d!
-    for d in range(4):
-        for n in range(d + 3):
-            assert len(list(hat.enumerate_d_asc(n, d))) == math.factorial(n)
-        assert len(list(hat.enumerate_d_asc(d + 3, d))) == math.factorial(
-            d + 3
-        ) - math.factorial(d)
 
 
 def test_enumerate_d_asc_members_are_valid_and_sorted():
@@ -201,14 +168,6 @@ def test_h_orbit_structure():
         assert images[-1] == hat.hat_max(w)
 
 
-def test_h_orbits_disjoint():
-    for n in range(7):
-        seen = {}
-        for w in seqs.enumerate_inversion(n):
-            for _, img in hat.h_orbit(w):
-                assert seen.setdefault(img, w) == w
-
-
 def test_orbit_stabilizes_at_length():
     # hat_d is constant in d once d reaches the length of the word
     for w in seqs.enumerate_inversion(5):
@@ -217,15 +176,8 @@ def test_orbit_stabilizes_at_length():
         assert hat.hat_d(w, len(w) + 3) == tail
 
 
-def test_enumerate_modinv_counts():
-    for n, count in enumerate(fixtures.MODINV_COUNTS[:7]):
-        found = hat.enumerate_modinv(n)
-        assert len(found) == count
-        assert found == sorted(set(found))
-
-
 def test_enumerate_weak_descent_counts():
-    for n, count in enumerate([1, 1, 1, 2, 5, 16, 61, 271]):
+    for n, count in enumerate([1, 1, 1, 2, 5, 16, 61, 271, 1372]):
         found = list(hat.enumerate_weak_descent(n))
         assert len(found) == count
         assert all(seqs.is_weak_descent_seq(w) for w in found)
@@ -287,14 +239,6 @@ def _hat_inv_nub_peel(g):
     return result
 
 
-def _outcome(f, *args):
-    """f(*args), or the message of the ValueError it raises."""
-    try:
-        return f(*args)
-    except ValueError as err:
-        return ("ValueError", str(err))
-
-
 def _bad_words(max_n=5):
     # every word of length <= max_n over [-1, n + 1]: mostly non-members
     for n in range(max_n + 1):
@@ -316,7 +260,7 @@ def test_hat_d_matches_fold_over_d_asc_set():
             for w in hat.enumerate_d_asc(n, d):
                 assert hat.hat_d(w, d) == _hat_d_fold_over_d_asc_set(w, d)
         for w in _bad_words():
-            assert _outcome(hat.hat_d, w, d) == _outcome(_hat_d_fold_over_d_asc_set, w, d)
+            assert outcome(hat.hat_d, w, d) == outcome(_hat_d_fold_over_d_asc_set, w, d)
 
 
 def test_hat_max_matches_modify_fold():
@@ -324,15 +268,15 @@ def test_hat_max_matches_modify_fold():
         for w in seqs.enumerate_inversion(n):
             assert hat.hat_max(w) == _hat_max_modify_fold(w)
     for w in _bad_words():
-        assert _outcome(hat.hat_max, w) == _outcome(_hat_max_modify_fold, w)
+        assert outcome(hat.hat_max, w) == outcome(_hat_max_modify_fold, w)
 
 
 def test_hat_inv_matches_nub_peel():
     for n in range(8):
         for g in chain(seqs.enumerate_inversion(n), seqs.enumerate_cayley(n)):
-            assert _outcome(hat.hat_inv, g) == _outcome(_hat_inv_nub_peel, g)
+            assert outcome(hat.hat_inv, g) == outcome(_hat_inv_nub_peel, g)
     for g in _bad_words():
-        assert _outcome(hat.hat_inv, g) == _outcome(_hat_inv_nub_peel, g)
+        assert outcome(hat.hat_inv, g) == outcome(_hat_inv_nub_peel, g)
 
 
 def test_enumerators_reject_negative_n():
@@ -437,14 +381,6 @@ def _is_fold_of_inversion(g):
     return unfold(list(g), len(g))
 
 
-def _accepts(f, *args):
-    try:
-        f(*args)
-    except ValueError:
-        return False
-    return True
-
-
 def test_hat_inv_accepts_exactly_the_folds_of_inversion_sequences():
     for n in range(6):
         folds = {
@@ -456,7 +392,7 @@ def test_hat_inv_accepts_exactly_the_folds_of_inversion_sequences():
         # every word of length n over [-1, n + 1]: members and non-members
         for g in product(range(-1, n + 2), repeat=n):
             assert _is_fold_of_inversion(g) == (g in folds)
-            assert _accepts(hat.hat_inv, g) == (g in folds)
+            assert accepts(hat.hat_inv, g) == (g in folds)
         for g in folds:
             assert hat._fold(hat.hat_inv(g), seqs.nub(g)) == g
 
@@ -479,7 +415,7 @@ def words_near_folds(draw, max_n=9):
 @given(words_near_folds())
 def test_hat_inv_domain_past_length_4(g):
     member = _is_fold_of_inversion(g)
-    assert _accepts(hat.hat_inv, g) == member
+    assert accepts(hat.hat_inv, g) == member
     if member:
         w = hat.hat_inv(g)
         assert seqs.is_inversion(w)

@@ -286,15 +286,9 @@ def test_tree_words_matches_plain_dfs():
 
 def test_no_rule_dead_ends_above_its_leaves():
     # every node above the leaves has a child, so each prefix is the
-    # prefix of a member, and level_sizes only grows with the depth.  The
-    # asc = nub cut of the Cayley rule is the exception, which tree_words
-    # must handle: at n = 2 the prefix 2 leaves only the letter 1, a new
-    # value that does not ascend
-    assert verify._asc_is_nub_children((1, 2, (1,), 2)) == []
+    # prefix of a member, and level_sizes only grows with the depth
     for n in range(10):
         for root, children in _rules(n):
-            if children is verify._asc_is_nub_children:
-                continue
             level = {root}
             for _ in range(_depth(n, children)):
                 assert all(children(state) for state in level), (n, children.__name__)

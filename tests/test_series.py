@@ -20,21 +20,33 @@ def reference_step(p, d, q, x):
     return 1 + x * p * p + q * (x ** (d + 1)) * p ** d
 
 
+def reference_step_slope(p, d, q, x):
+    """The derivative of reference_step in p."""
+    if d == 0:
+        return 2 * x * p + 2 * q * (x ** 2) * p
+    return 2 * x * p + d * q * (x ** (d + 1)) * p ** (d - 1)
+
+
 def reference_solve_P(d, q_value, order):
-    """Fixed-point iteration from the constant series 1, on TruncSeries:
-    each of the order+1 passes gains at least one correct coefficient."""
+    """Newton's iteration for P = step(P) from the constant series 1, on
+    TruncSeries: each pass doubles the number of correct coefficients.
+    Coefficient n of step(P) reads only p_0..p_(n-1), so the truncated
+    equation has one solution, and the fixed point check confirms it."""
     q = Fraction(q_value)
     x = TruncSeries.x(order)
     p = TruncSeries.constant(1, order)
-    for _ in range(order + 1):
-        p = reference_step(p, d, q, x)
+    correct = 1
+    while correct <= order:
+        p = p + (reference_step(p, d, q, x) - p) * (
+            1 - reference_step_slope(p, d, q, x)).reciprocal()
+        correct *= 2
     assert p == reference_step(p, d, q, x)
     return p
 
 
-def reference_series_Q(d, q_value, order):
-    p = reference_solve_P(d, q_value, order)
-    x = TruncSeries.x(order)
+def reference_series_Q(p, d):
+    """Q from the reference P."""
+    x = TruncSeries.x(p.order)
     if d == 0:
         return (1 - x * p).reciprocal()
     return (1 - x * (1 - x * p).reciprocal()).reciprocal()
@@ -180,8 +192,9 @@ def test_solve_P_rejects_negative_d():
 def test_engine_matches_fixed_point_reference(d):
     for q in (-1, 0, 2, Fraction(1, 2), Fraction(-3, 7)):
         for order in (0, 1, 2, 3, 7, 20):
-            assert solve_P(d, q, order) == reference_solve_P(d, q, order)
-            assert series_Q(d, q, order) == reference_series_Q(d, q, order)
+            p = reference_solve_P(d, q, order)
+            assert solve_P(d, q, order) == p
+            assert series_Q(d, q, order) == reference_series_Q(p, d)
 
 
 @pytest.mark.parametrize("d", range(6))
