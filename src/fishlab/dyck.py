@@ -1,5 +1,6 @@
-"""Dyck paths, the 213-avoider bijection, factor counting and the two
-generating trees with their label isomorphism.
+"""Dyck paths, the 213-avoider bijection, factor counting, and the Omega
+generating tree with its label isomorphism onto Theta, the weak descent
+tree of hat.
 
 Paths are ASCII strings over U and D.
 """
@@ -8,6 +9,7 @@ import math
 from itertools import islice
 
 from .fishburn import check_perm
+from .hat import weak_descent_children
 from .sequences import check_n, level_sizes, tree_words
 
 
@@ -90,20 +92,17 @@ def enumerate_avoiders_213(n: int) -> list:
     return tree_words(n, tuple(range(1, n + 1)), avoider_213_children)
 
 
-# the labels (a, l) and (w, u) end in the last letter
+# the labels (a, l) and (w, u) end in the last letter.  Theta is the weak
+# descent rule hat.weak_descent_children, whose state (w, u) is the weak
+# descents and the last letter, from the root (0, 1)
 def omega_children(label):
     a, ell = label
     return [(i, (a, i)) for i in range(1, ell)] + [(i, (a + 1, i)) for i in range(ell + 1, a + 2)]
 
 
-def theta_children(label):
-    w, u = label
-    return [(i, (w + 1, i)) for i in range(1, u + 1)] + [(i, (w, i)) for i in range(u + 1, w + 2)]
-
-
 def gen_tree_counts(rule: str, depth: int):
     """The first depth level sizes of the generating tree."""
-    trees = {"Omega": ((1, 1), omega_children), "Theta": ((0, 1), theta_children)}
+    trees = {"Omega": ((1, 1), omega_children), "Theta": ((0, 1), weak_descent_children)}
     if rule not in trees:
         raise ValueError(f"unknown rule: {rule}")
     if depth < 1:

@@ -146,10 +146,11 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
     """All d-Fishburn permutations of [n], as a sorted list.
 
     A depth-first search over the phi_d generating tree: a node is a
-    permutation with the activity of its entries, and its children insert
-    the next maximum into each of its active sites.  As in phi_d, the
-    child at site a of a node whose maximum sat at site b is active iff
-    a > b - d.  Only members are visited, at O(n) per node plus O(n) per
+    permutation with phi_d's state, its active values in position order,
+    and its children insert the next maximum into each of its active
+    sites.  As in phi_d, site a is the gap after the (a-1)-th active
+    value, and the child at site a of a node whose maximum sat at site b
+    is active iff a > b - d.  Only members are visited, at O(n) per
     child; the leaves are collected and sorted into lexicographic order.
     """
     check_d(d)
@@ -158,15 +159,16 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
         return [()]
     out = []
 
-    def grow(p, flags, b):
+    def grow(p, act, b):
         # b is the site that the maximum m - 1 was inserted at
-        gaps = [0] + [i + 1 for i, active in enumerate(flags) if active]
         m = len(p) + 1
-        if m == n:
-            out.extend(p[:g] + (m,) + p[g:] for g in gaps)
-            return
-        for a, g in enumerate(gaps, 1):
-            grow(p[:g] + (m,) + p[g:], flags[:g] + (a > b - d,) + flags[g:], a)
+        for a in range(1, len(act) + 2):
+            g = p.index(act[a - 2]) + 1 if a > 1 else 0
+            child = p[:g] + (m,) + p[g:]
+            if m == n:
+                out.append(child)
+            else:
+                grow(child, act[: a - 1] + (m,) + act[a - 1 :] if a > b - d else act, a)
 
     # the root's last site is 0: site 1 of the empty permutation is then a
     # d-ascent for every d >= 0

@@ -10,7 +10,6 @@ left of it generally have a different d-ascent set from the input's.
 from .sequences import (
     check_d,
     check_n,
-    d_asc_set,
     d_asc_thresholds,
     is_d_ascent_seq,
     is_inversion,
@@ -86,40 +85,22 @@ def hat_inv(g) -> tuple:
     return tuple(cur)
 
 
-def _fold(w, positions) -> tuple:
-    """modify folded over the positions, left to right, on one list, unchecked."""
-    out = list(w)
-    for j in positions:
-        aj = out[j - 1]
-        for i in range(j - 1):
-            if out[i] >= aj:
-                out[i] += 1
-    return tuple(out)
-
-
-def _orbit(w) -> list:
-    """h_orbit of an inversion sequence w, unchecked."""
-    # the image is a function of the d-ascent set, which changes only at a
-    # threshold, and its nub is that set: one fold per threshold from
-    # min_d(w) on gives each image once, at its least d
-    orbit = []
-    for d in d_asc_thresholds(w):
-        if orbit or is_d_ascent_seq(w, d):
-            orbit.append((d, _fold(w, d_asc_set(w, d))))
-    return orbit
-
-
 def h_orbit(w):
     """All distinct hats of an inversion sequence, as pairs (least d, image)
     by increasing d.
 
-    The orbit runs over d from min_d(w) on and stabilizes from
-    d = len(w) - 1 on.  One fold per distinct d-ascent set, each O(n^2),
-    and at most len(w) of them.
+    The image is a function of the d-ascent set, which changes only at a
+    threshold, and its nub is that set: so hat_d at each threshold from
+    min_d(w) on gives each image once, at its least d.  The orbit
+    stabilizes from d = len(w) - 1 on; at most len(w) hats, each O(n^2).
     """
     if not is_inversion(w):
         raise ValueError(f"not an inversion sequence: {w}")
-    return tuple(_orbit(w))
+    orbit = []
+    for d in d_asc_thresholds(w):
+        if orbit or is_d_ascent_seq(w, d):
+            orbit.append((d, hat_d(w, d)))
+    return tuple(orbit)
 
 
 def d_asc_children(state):
@@ -180,14 +161,17 @@ def _as_tuples(leaves: list) -> list:
 
 def hat_tree_children(state):
     """The tree of _hat_tree on states (lo, hi, dasc, last letter), root
-    (lo, hi, 0, 0); _hat_tree inlines it, as a generator ran 1.6-2.8x slower."""
+    (lo, hi, 0, 0).  _hat_tree inlines it, as its leaves are fold states,
+    not words of letters, and a children generator ran 1.6-2.8x slower."""
     lo, hi, dasc, b = state
+    out = []
     for a in range(1, dasc + 2):
         t = b - a + 1
         if lo < t:
-            yield a, (lo, min(hi, t - 1), dasc, a)
+            out.append((a, (lo, min(hi, t - 1), dasc, a)))
         if t <= hi:
-            yield a, (max(lo, t), hi, dasc + 1, a)
+            out.append((a, (max(lo, t), hi, dasc + 1, a)))
+    return out
 
 
 def _hat_tree(n: int, lo: int, hi: int) -> list:

@@ -33,14 +33,14 @@ def check_n(n) -> None:
         raise ValueError(f"n must be nonnegative, got {n}")
 
 
-def asc_set(w) -> tuple:
-    """Positions i with i == 1 or a_i > a_{i-1}."""
-    return tuple(i for i in range(1, len(w) + 1) if i == 1 or w[i - 1] > w[i - 2])
-
-
 def d_asc_set(w, d: int) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1} - d."""
     return tuple(i for i in range(1, len(w) + 1) if i == 1 or w[i - 1] > w[i - 2] - d)
+
+
+def asc_set(w) -> tuple:
+    """Positions i with i == 1 or a_i > a_{i-1}: the 0-ascents."""
+    return d_asc_set(w, 0)
 
 
 def d_asc_thresholds(w) -> tuple:

@@ -348,7 +348,11 @@ def _omega_counts(n, d):
 
 @_claim("trees", "theta-counts-wdesc", _at_n_max)
 def _theta_counts(n, d):
-    wdesc = [len(hat.enumerate_weak_descent(m)) for m in range(1, n + 1)]
+    # Theta is the weak descent rule, so its other side is the definition
+    wdesc = [
+        sum(map(seqs.is_weak_descent_seq, seqs.enumerate_inversion(m)))
+        for m in range(1, n + 1)
+    ]
     yield "theta-counts-wdesc", n, d, wdesc, dyck.gen_tree_counts("Theta", n)
 
 
@@ -359,7 +363,7 @@ def _tree_iso(n, d):
         for ell in range(1, a + 1):
             image = dyck.tree_iso_map((a, ell), "omega-to-theta")
             ok = ok and dyck.tree_iso_map(image, "theta-to-omega") == (a, ell)
-            want = Counter(c for _, c in dyck.theta_children(image))
+            want = Counter(c for _, c in hat.weak_descent_children(image))
             got = Counter(
                 dyck.tree_iso_map(c, "omega-to-theta")
                 for _, c in dyck.omega_children((a, ell))
@@ -451,11 +455,25 @@ SUITES = tuple(dict.fromkeys(claim.suite for claim in REGISTRY))
 
 
 def run_claim(claim: Claim, n_max: int, d_max: int):
-    """The reports of one registry entry over its grid, as a generator."""
+    """The reports of one registry entry over its grid, as a generator.
+
+    A check that raises ends its point with one failing report, whose
+    actual is the exception's type and message, and the grid goes on.  Its
+    check is the first of the entry's names with no report yet at that
+    point, or its last name when each has one."""
     start = time.perf_counter_ns()
     for point in claim.grid(n_max, d_max):
-        for check, n, d, expected, actual in claim.check(*point):
-            yield _report(check, n, d, expected, actual, start)
+        done = set()
+        try:
+            for check, n, d, expected, actual in claim.check(*point):
+                done.add(check)
+                yield _report(check, n, d, expected, actual, start)
+                start = time.perf_counter_ns()
+        except Exception as exc:
+            check = next((name for name in claim.names if name not in done),
+                         claim.names[-1])
+            raised = f"{type(exc).__name__}: {exc}"
+            yield _report(check, *point, None, raised, start)
             start = time.perf_counter_ns()
 
 
@@ -464,14 +482,6 @@ def claims_of(name: str) -> list:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite: {name}")
     return [claim for claim in REGISTRY if name in ("all", claim.suite)]
-
-
-def run_suite(name: str, n_max: int, d_max: int):
-    """The reports of the entries of suite name, or of every entry for
-    "all", in registry order."""
-    return [
-        report for claim in claims_of(name) for report in run_claim(claim, n_max, d_max)
-    ]
 
 
 def explore_conjectures(n_max: int):

@@ -167,7 +167,10 @@ def test_verify_suite_reports():
 
 
 def test_verify_reports_time_in_nanoseconds():
-    reports = verify.run_suite("trees", 8, 0)
+    reports = [
+        report for claim in verify.claims_of("trees")
+        for report in verify.run_claim(claim, 8, 0)
+    ]
     assert reports
     for report in reports:
         assert type(report["elapsed_ns"]) is int and report["elapsed_ns"] >= 0
@@ -196,7 +199,7 @@ def test_verify_names_each_claim_its_grid_leaves_out(capsys):
     assert [json.loads(line)["check"] for line in text.splitlines()] == [
         "tree-iso-child-multisets"]
     assert capsys.readouterr().err.splitlines() == [
-        f"verify: {name} has no point at --n-max 0 --d-max 2"
+        f"verify: {name} has no row at --n-max 0 --d-max 2"
         for name in ("omega-counts-primitive", "theta-counts-wdesc")
     ]
 
@@ -207,7 +210,7 @@ def test_verify_run_with_no_rows_exits_1(monkeypatch, capsys):
     code, text = run(["verify", "--suite", "trees", "--n-max", "0"])
     assert (code, text) == (1, "")
     assert capsys.readouterr().err.splitlines() == [
-        "verify: omega-counts-primitive has no point at --n-max 0 --d-max 2"]
+        "verify: omega-counts-primitive has no row at --n-max 0 --d-max 2"]
     assert run(["verify", "--suite", "trees", "--n-max", "1"])[0] == 0
 
 
@@ -229,6 +232,28 @@ def test_verify_failing_claim_exits_1(monkeypatch):
     assert code == 1
     rows = [json.loads(line) for line in text.splitlines()]
     assert [r["check"] for r in rows if not r["pass"]] == ["one-is-two"]
+
+
+def test_verify_raising_claim_fails_one_row_and_goes_on(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "REGISTRY", list(verify.REGISTRY))
+
+    @verify._claim("series", "raises-at-two", verify._fixed(*((n, None) for n in (1, 2, 3))))
+    def _raises_at_two(n, d):
+        if n == 2:
+            raise ValueError("no two")
+        yield "raises-at-two", n, d, True, True
+
+    code, text = run(["verify", "--suite", "series"])
+    assert code == 1
+    rows = [json.loads(line) for line in text.splitlines()]
+    # the rows of the entries before it, and its own, all printed; the
+    # raise ends only its point, as one failing row with no traceback
+    assert len(rows) > 3
+    ours = [r for r in rows if r["check"] == "raises-at-two"]
+    assert [(r["n"], r["pass"]) for r in ours] == [(1, True), (2, False), (3, True)]
+    assert ours[1]["actual"] == "ValueError: no two"
+    assert [r["check"] for r in rows if not r["pass"]] == ["raises-at-two"]
+    assert capsys.readouterr().err == ""
 
 
 def test_failing_set_report_names_a_witness():
@@ -286,7 +311,7 @@ def test_table_output_is_pinned(fmt):
 
 
 def test_table_cross_check():
-    code, _ = run(["table", "--n-max", "7", "--d-max", "3", "--cross-check"])
+    code, _ = run(["table", "--n-max", "7", "--d-max", "5", "--cross-check"])
     assert code == 0
     code, _ = run(["table", "--n-max", "10", "--d-max", "1", "--cross-check"])
     assert code == 2
@@ -297,15 +322,18 @@ def test_table_cross_check_mismatch_exits_1(monkeypatch, capsys):
 
     def one_coefficient_off(d, q, order):
         coeffs = list(series_q(d, q, order).coeffs)
-        if d == 1:
+        if d == bad_d:
             coeffs[4] += 1
         return series.TruncSeries(coeffs, order)
 
     monkeypatch.setattr(series, "series_Q", one_coefficient_off)
-    assert cli.main(["table", "--n-max", "5", "--d-max", "1", "--cross-check"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "cross-check mismatch at d=1 n=4: series 14, enumeration 13"
-    ]
+    # every d <= --d-max is cross-checked, d > 3 too
+    for bad_d, count, direct in ((1, 14, 13), (5, 15, 14)):
+        assert cli.main(
+            ["table", "--n-max", "5", "--d-max", str(bad_d), "--cross-check"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"cross-check mismatch at d={bad_d} n=4: series {count}, enumeration {direct}"
+        ]
 
 
 def test_explore_conjectures():

@@ -267,7 +267,6 @@ def _rules(n):
         ((0, 0, 0, 0), hat.hat_tree_children),
         ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children),
         ((1, 1), dyck.omega_children),
-        ((0, 1), dyck.theta_children),
     ]
 
 
