@@ -173,9 +173,6 @@ def table_cost(n_max: int, d_max: int) -> int:
 @_usage_errors
 def cmd_table(args, out) -> int:
     _require_nonnegative(n_max=args.n_max, d_max=args.d_max)
-    # the cross-check enumerates the 213-avoiders, so n_max stays at most 9
-    if args.cross_check and args.n_max > 9:
-        raise UsageError("--n-max too large for this mode")
     cost = table_cost(args.n_max, args.d_max)
     if cost > TABLE_MAX_COST:
         raise UsageError(
@@ -194,16 +191,6 @@ def cmd_table(args, out) -> int:
     else:
         for d, n, count in rows:
             print(json.dumps({"d": d, "n": n, "count": count}), file=out)
-    if args.cross_check:
-        for d, n, count in rows:
-            direct = verify.count_213_fishburn(n, d)
-            if direct != count:
-                print(
-                    f"cross-check mismatch at d={d} n={n}: "
-                    f"series {count}, enumeration {direct}",
-                    file=sys.stderr,
-                )
-                return 1
     return 0
 
 
@@ -237,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="counts of 213-avoiding d-Fishburn permutations")
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--d-max", type=int, default=5)
-    p.add_argument("--cross-check", action="store_true")
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.set_defaults(func=cmd_table)
 

@@ -162,7 +162,9 @@ def _as_tuples(leaves: list) -> list:
 def hat_tree_children(state):
     """The tree of _hat_tree on states (lo, hi, dasc, last letter), root
     (lo, hi, 0, 0).  _hat_tree inlines it, as its leaves are fold states,
-    not words of letters, and a children generator ran 1.6-2.8x slower."""
+    not words of letters, and the same DFS driven by this rule ran
+    1.8-1.9x slower (modinv at n = 7, 8 and modasc at n = 8, d <= 1; best
+    of 15 on a 2-vCPU Xeon, Python 3.11.7)."""
     lo, hi, dasc, b = state
     out = []
     for a in range(1, dasc + 2):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -310,30 +311,42 @@ def test_table_output_is_pinned(fmt):
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_GOLDEN_SHA256[fmt]
 
 
-def test_table_cross_check():
-    code, _ = run(["table", "--n-max", "7", "--d-max", "5", "--cross-check"])
-    assert code == 0
-    code, _ = run(["table", "--n-max", "10", "--d-max", "1", "--cross-check"])
-    assert code == 2
-
-
-def test_table_cross_check_mismatch_exits_1(monkeypatch, capsys):
+def _series_off_at_x4(monkeypatch, delta, bad_d=None):
+    """Make series.series_Q's coefficient of x^4 off by delta, at d = bad_d
+    or, when bad_d is None, at every d."""
     series_q = series.series_Q
 
     def one_coefficient_off(d, q, order):
         coeffs = list(series_q(d, q, order).coeffs)
-        if d == bad_d:
-            coeffs[4] += 1
+        if order >= 4 and bad_d in (None, d):
+            coeffs[4] += delta
         return series.TruncSeries(coeffs, order)
 
     monkeypatch.setattr(series, "series_Q", one_coefficient_off)
-    # every d <= --d-max is cross-checked, d > 3 too
-    for bad_d, count, direct in ((1, 14, 13), (5, 15, 14)):
-        assert cli.main(
-            ["table", "--n-max", "5", "--d-max", str(bad_d), "--cross-check"]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"cross-check mismatch at d={bad_d} n=4: series {count}, enumeration {direct}"
-        ]
+
+
+def _failed_rows(name, n_max=math.inf):
+    claim = next(c for c in verify.REGISTRY if c.names == (name,))
+    return [
+        (r["n"], r["d"], r["expected"], r["actual"])
+        for r in verify.run_claim(claim, n_max, math.inf) if not r["pass"]
+    ]
+
+
+@pytest.mark.parametrize("bad_d, coeff, count", [(1, 14, 13), (9, 15, 14)])
+def test_table_cross_check_fails_on_a_seeded_fault(monkeypatch, bad_d, coeff, count):
+    # every d <= 9 is cross-checked: the series coefficient is expected and
+    # the enumeration count actual
+    _series_off_at_x4(monkeypatch, 1, bad_d)
+    assert _failed_rows("table-213-cross-check", n_max=5) == [(4, bad_d, coeff, count)]
+
+
+def test_series_claims_fail_on_a_non_integer_coefficient(monkeypatch):
+    # int() would truncate 14 + 1/2 to 14, and the rows would pass
+    _series_off_at_x4(monkeypatch, Fraction(1, 2))
+    assert [row[:2] for row in _failed_rows("table-213-row")] == [
+        (12, d) for d in range(6)]
+    assert _failed_rows("catalan-convergence") == [(4, 2, 14, Fraction(29, 2))]
 
 
 def test_explore_conjectures():
@@ -355,9 +368,12 @@ def test_main_entry_point(capsys):
 
 
 def test_unknown_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(["frobnicate"])
-    assert exc.value.code == 2
+    # the 213 cross-check is the verify claim table-213-cross-check, so
+    # table takes no --cross-check
+    for argv in (["frobnicate"], ["table", "--cross-check"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_enumerate_fishburn_count_is_fishburn_number():
@@ -389,8 +405,7 @@ def test_usage_errors_exit_2_with_one_line(argv, capsys):
 
 
 def test_table_cap_bounds_cost_not_n():
-    # the table costs about sum over d of max(2, d) n^2 coefficient
-    # products; the enumeration cap does not apply without --cross-check
+    # the table costs about sum over d of max(2, d) n^2 coefficient products
     code, text = run(["table", "--n-max", "40", "--d-max", "5", "--format", "csv"])
     assert code == 0
     assert len(text.splitlines()) == 1 + 6 * 41

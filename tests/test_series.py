@@ -1,12 +1,10 @@
-import io
-import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishlab import cli, dyck, fixtures
+from fishlab import dyck, fixtures
 from fishlab.series import TruncSeries, series_Q, solve_P
 
 
@@ -162,14 +160,6 @@ def test_q_zero_gives_catalan():
     assert list(q5.coeffs) == fixtures.CATALAN
 
 
-def test_q_minus_one_matches_table():
-    # substituting q = -1 sieves out the paths containing the factor
-    for d, row in fixtures.TABLE_213.items():
-        q = series_Q(d, -1, 12)
-        assert [int(c) for c in q.coeffs] == row
-        assert all(c.denominator == 1 for c in q.coeffs)
-
-
 def test_series_against_brute_force_distribution():
     # coefficient of x^n at marker weight q-1 equals sum of q^(factors)
     for d in range(3):
@@ -240,13 +230,3 @@ def test_algebraic_residual_at_large_order(d, g, h):
     assert int_product(base, base, order) == int_product(
         h, int_product(q, q, order), order)
 
-
-def test_cli_table_reproduces_fixture():
-    out = io.StringIO()
-    args = cli.build_parser().parse_args(["table", "--n-max", "12", "--d-max", "5"])
-    assert args.func(args, out) == 0
-    rows = [json.loads(line) for line in out.getvalue().splitlines()]
-    table = {}
-    for row in rows:
-        table.setdefault(row["d"], []).append(row["count"])
-    assert table == fixtures.TABLE_213
