@@ -23,9 +23,6 @@ TABLE_MAX_COST = 4_500_000
 
 REPORT_KEYS = ("check", "n", "d", "expected", "actual", "pass")
 
-# the families that `enumerate` requires --d for; the others refuse it
-D_FAMILIES = ("dasc", "modasc", "fishburn")
-
 
 class UsageError(Exception):
     """A bad invocation: the command prints the message and exits 2."""
@@ -59,31 +56,34 @@ def _line_format(n: int) -> str:
 _DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
 
 
-def _families(n, d):
-    return {
-        "dasc": lambda: hat.enumerate_d_asc(n, d),
-        # the hat tree's sorted byte leaves, which the writer takes as they are
-        "modasc": lambda: hat._hat_tree(n, d, d),
-        "modinv": lambda: hat._hat_tree(n, 0, max(n - 1, 0)),
-        "wdesc": lambda: hat.enumerate_weak_descent(n),
-        "fishburn": lambda: fishburn.enumerate_d_fishburn(n, d),
-        "irsub": lambda: fishburn.enumerate_subdiagonal(n, "increasing-runs"),
-        "drsub": lambda: fishburn.enumerate_subdiagonal(n, "decreasing-runs"),
-    }
+# name: (requires --d, which the others refuse; its members at (n, d), as the
+# hat tree's sorted byte leaves for modasc and modinv; the (root, rule) at
+# (n, d) of the tree whose depth-n leaves it examines: every family but modinv
+# is counted on d-ascent or weak-descent words, via phi_d, hat_d and hat_max)
+FAMILIES = {
+    "dasc": (True, hat.enumerate_d_asc,
+             lambda n, d: ((d, 0, 0), hat.d_asc_children)),
+    "modasc": (True, lambda n, d: hat._hat_tree(n, d, d),
+               lambda n, d: ((d, 0, 0), hat.d_asc_children)),
+    "modinv": (False, lambda n, d: hat._hat_tree(n, 0, max(n - 1, 0)),
+               lambda n, d: ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children)),
+    "wdesc": (False, lambda n, d: hat.enumerate_weak_descent(n),
+              lambda n, d: ((0, 0), hat.weak_descent_children)),
+    "fishburn": (True, fishburn.enumerate_d_fishburn,
+                 lambda n, d: ((d, 0, 0), hat.d_asc_children)),
+    "irsub": (False, lambda n, d: fishburn.enumerate_subdiagonal(n, "increasing-runs"),
+              lambda n, d: ((0, 0, 0), hat.d_asc_children)),
+    "drsub": (False, lambda n, d: fishburn.enumerate_subdiagonal(n, "decreasing-runs"),
+              lambda n, d: ((0, 0), hat.weak_descent_children)),
+}
 
 
 def enumerate_cost(family: str, n: int, d: int) -> int:
-    """Objects `enumerate` examines: the members, each a leaf of the tree
-    that generates it.  The leaves of hat._hat_tree for modinv, and for the
-    other families the d-ascent or weak-descent words, through the
-    bijections phi_d, hat_d and hat_max; a count above ENUMERATE_MAX_COST
-    may be cut short."""
-    if family == "modinv":
-        root, children = (0, max(n - 1, 0), 0, 0), hat.hat_tree_children
-    elif family in ("wdesc", "drsub"):
-        root, children = (0, 0), hat.weak_descent_children
-    else:  # irsub is the hat_max image of the ascent sequences
-        root, children = (0 if family == "irsub" else d, 0, 0), hat.d_asc_children
+    """Objects `enumerate` examines, the depth-n leaves of the family's tree
+    in FAMILIES, cut short past ENUMERATE_MAX_COST; ValueError if unknown."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    root, children = FAMILIES[family][2](n, d)
     # every node has a child, so the sizes only grow with the depth
     sizes = enumerate(level_sizes(root, children))
     return next(size for m, size in sizes if m == n or size > ENUMERATE_MAX_COST)
@@ -96,17 +96,17 @@ def cmd_enumerate(args, out) -> int:
     one per entry, translated to digits a chunk at a time; comma-separated,
     by a %-format per line, from n = 10 on."""
     _require_nonnegative(n=args.n, d=args.d)
-    if args.family in D_FAMILIES and args.d is None:
-        raise UsageError(f"--d is required for family {args.family}")
-    if args.family not in D_FAMILIES and args.d is not None:
-        raise UsageError(f"--d is not taken by family {args.family}")
+    takes_d, members, _ = FAMILIES[args.family]
+    if takes_d != (args.d is not None):
+        need = "required for" if takes_d else "not taken by"
+        raise UsageError(f"--d is {need} family {args.family}")
     cost = enumerate_cost(args.family, args.n, args.d or 0)
     if cost > ENUMERATE_MAX_COST:
         raise UsageError(
             f"--n {args.n} too large for family {args.family}: it would examine "
             f"{cost} or more objects, the limit is {ENUMERATE_MAX_COST}"
         )
-    words = _families(args.n, args.d or 0)[args.family]()
+    words = members(args.n, args.d or 0)
     # one write, of text made 4096 words at a time, so that the lines never
     # all exist as separate objects
     starts = range(0, len(words), 4096)
@@ -179,18 +179,17 @@ def cmd_table(args, out) -> int:
             f"--n-max and --d-max too large: the table would cost {cost} "
             f"coefficient products, the limit is {TABLE_MAX_COST}"
         )
-    rows = []
+    csv = args.format == "csv"
+    lines = ["d,n,count"] if csv else []
     for d in range(args.d_max + 1):
-        coeffs = series.series_Q(d, -1, args.n_max).coeffs
-        for n in range(args.n_max + 1):
-            rows.append((d, n, int(coeffs[n])))
-    if args.format == "csv":
-        print("d,n,count", file=out)
-        for d, n, count in rows:
-            print(f"{d},{n},{count}", file=out)
-    else:
-        for d, n, count in rows:
-            print(json.dumps({"d": d, "n": n, "count": count}), file=out)
+        for n, count in enumerate(series.series_Q(d, -1, args.n_max).coeffs):
+            if count.denominator != 1:
+                print(f"table: the count at d = {d}, n = {n} is {count}, "
+                      "not an integer", file=sys.stderr)
+                return 1
+            lines.append(f"{d},{n},{count}" if csv
+                         else json.dumps({"d": d, "n": n, "count": int(count)}))
+    print("\n".join(lines), file=out)
     return 0
 
 
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the members of a family")
-    p.add_argument("--family", required=True, choices=sorted(_families(0, 0)))
+    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
     p.set_defaults(func=cmd_enumerate)

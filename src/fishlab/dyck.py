@@ -10,7 +10,7 @@ from itertools import islice
 
 from .fishburn import check_perm
 from .hat import weak_descent_children
-from .sequences import check_n, level_sizes, tree_words
+from .sequences import check_d, check_n, level_sizes, tree_words
 
 
 def is_dyck(path: str) -> bool:
@@ -52,6 +52,7 @@ def phi_213(p) -> str:
 
 def count_ddu_factor(path: str, d: int) -> int:
     """Occurrences of the contiguous factor DDU^(d+1), counted window-wise."""
+    check_d(d)
     target = "DD" + "U" * (d + 1)
     k = len(target)
     return sum(path[i : i + k] == target for i in range(len(path) - k + 1))

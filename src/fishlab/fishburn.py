@@ -47,14 +47,26 @@ def _ascent_bottoms(p):
 
 def is_d_fishburn(p, d: int) -> bool:
     """True iff every ascent bottom of p is a d-active element."""
-    return _ascent_bottoms(p) <= d_active_elements(p, d)
+    return _is_d_fishburn(p, d_active_elements(p, d))
+
+
+def _is_d_fishburn(p, active):
+    return _ascent_bottoms(p) <= active
 
 
 def contains_fishburn_pattern(p, d: int) -> bool:
     """An adjacent rise p_i < p_{i+1} with p_i - 1 further right and p_i
-    d-inactive; the other two entries are unconstrained."""
+    d-inactive; the other two entries are unconstrained.
+
+    This is `not is_d_fishburn(p, d)` on every permutation, so the claim
+    fishburn-equals-pattern-class checks a one-line lemma: an inactive
+    ascent bottom v = p_i is not 1, which is always active, and v - 1 lies
+    right of it, or v would be active, and not at i + 1, where p_{i+1} > v."""
+    return _contains_fishburn_pattern(p, d_active_elements(p, d))
+
+
+def _contains_fishburn_pattern(p, active):
     pos = {v: i for i, v in enumerate(p)}
-    active = d_active_elements(p, d)
     for i in range(len(p) - 1):
         v = p[i]
         if v < p[i + 1] and v - 1 in pos and pos[v - 1] >= i + 2 and v not in active:
@@ -88,6 +100,7 @@ def contains_sigma(p, d: int) -> bool:
     """Occurrence of the length-(d+3) pattern: an adjacent rise p_i < p_{i+1},
     the value p_i - 1 at some later position j, and d increasing entries
     below p_i - 1 strictly between positions i+1 and j."""
+    check_d(d)
     pos = {v: i for i, v in enumerate(p)}
     for i in range(len(p) - 1):
         v = p[i]

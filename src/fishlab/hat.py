@@ -8,10 +8,10 @@ left of it generally have a different d-ascent set from the input's.
 """
 
 from .sequences import (
+    _is_d_ascent_seq,
     check_d,
     check_n,
     d_asc_thresholds,
-    is_d_ascent_seq,
     is_inversion,
     tree_words,
 )
@@ -98,7 +98,7 @@ def h_orbit(w):
         raise ValueError(f"not an inversion sequence: {w}")
     orbit = []
     for d in d_asc_thresholds(w):
-        if orbit or is_d_ascent_seq(w, d):
+        if orbit or _is_d_ascent_seq(w, d):
             orbit.append((d, hat_d(w, d)))
     return tuple(orbit)
 

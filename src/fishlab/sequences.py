@@ -20,8 +20,8 @@ from itertools import combinations, product
 
 
 def check_d(d) -> None:
-    """Raise ValueError unless d is a nonnegative integer."""
-    if not isinstance(d, int) or d < 0:
+    """Raise ValueError unless d is a nonnegative integer; a bool is not one."""
+    if type(d) is not int or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
 
 
@@ -35,12 +35,17 @@ def check_n(n) -> None:
 
 def d_asc_set(w, d: int) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1} - d."""
+    check_d(d)
+    return _d_asc_set(w, d)
+
+
+def _d_asc_set(w, d):
     return tuple(i for i in range(1, len(w) + 1) if i == 1 or w[i - 1] > w[i - 2] - d)
 
 
 def asc_set(w) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1}: the 0-ascents."""
-    return d_asc_set(w, 0)
+    return _d_asc_set(w, 0)
 
 
 def d_asc_thresholds(w) -> tuple:
@@ -97,6 +102,11 @@ def is_inversion(w) -> bool:
 
 def is_d_ascent_seq(w, d: int) -> bool:
     """True iff every entry satisfies 1 <= a_i <= 1 + (d-ascents of the prefix)."""
+    check_d(d)
+    return _is_d_ascent_seq(w, d)
+
+
+def _is_d_ascent_seq(w, d):
     dasc = 0
     prev = None
     for a in w:
@@ -126,7 +136,7 @@ def min_d(w) -> int:
     if not is_inversion(w):
         raise ValueError(f"not an inversion sequence: {w}")
     # the d-ascent set, and with it membership, changes only at a threshold
-    return next(d for d in d_asc_thresholds(w) if is_d_ascent_seq(w, d))
+    return next(d for d in d_asc_thresholds(w) if _is_d_ascent_seq(w, d))
 
 
 def word_pattern(w) -> tuple:

@@ -266,14 +266,15 @@ def _phi(n, d):
     yield "phi-equals-burget-hat", n, d, True, all(
         p == burge.burget(hat.hat_d(w, d)) for w, p in zip(words, images)
     )
-    by_membership = {
-        p for p in fishburn.enumerate_perms(n) if fishburn.is_d_fishburn(p, d)
-    }
+    # one sweep of S_n: each permutation's activity feeds both tests
+    by_membership, by_pattern = set(), set()
+    for p in fishburn.enumerate_perms(n):
+        active = fishburn.d_active_elements(p, d)
+        if fishburn._is_d_fishburn(p, active):
+            by_membership.add(p)
+        if not fishburn._contains_fishburn_pattern(p, active):
+            by_pattern.add(p)
     yield "fishburn-equals-phi-image", n, d, by_membership, set(images)
-    by_pattern = {
-        p for p in fishburn.enumerate_perms(n)
-        if not fishburn.contains_fishburn_pattern(p, d)
-    }
     yield "fishburn-equals-pattern-class", n, d, by_membership, by_pattern
 
 

@@ -349,6 +349,17 @@ def test_series_claims_fail_on_a_non_integer_coefficient(monkeypatch):
     assert _failed_rows("catalan-convergence") == [(4, 2, 14, Fraction(29, 2))]
 
 
+def test_table_refuses_a_non_integer_coefficient(monkeypatch, capsys):
+    # int() would print 8 for the 17/2 at d = 0, n = 4
+    _series_off_at_x4(monkeypatch, Fraction(1, 2))
+    argv = ["table", "--n-max", "5", "--d-max", "1", "--format", "csv"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "table: the count at d = 0, n = 4 is 17/2, not an integer"]
+
+
 def test_explore_conjectures():
     code, text = run(["explore-conjectures", "--n-max", "5"])
     assert code == 0
@@ -430,8 +441,11 @@ def test_enumerate_cost_counts_what_enumerate_examines():
     assert cli.enumerate_cost("dasc", 8, 100) == math.factorial(8)
     assert cli.enumerate_cost("modinv", 8, 0) == fixtures.MODINV_COUNTS[8]
     assert cli.enumerate_cost("modinv", 9, 0) > cli.ENUMERATE_MAX_COST
-    for family, d in itertools.product(cli._families(0, 0), range(12)):
+    for family, d in itertools.product(cli.FAMILIES, range(12)):
         assert cli.enumerate_cost(family, 11, d) > cli.ENUMERATE_MAX_COST
     assert cli.enumerate_cost("dasc", 100, 0) > cli.ENUMERATE_MAX_COST
     code, _ = run(["enumerate", "--family", "fishburn", "--n", "100", "--d", "0"])
     assert code == 2
+    # an unknown family has no tree, rather than the d-ascent one
+    with pytest.raises(ValueError):
+        cli.enumerate_cost("ascent", 3, 0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fishlab import burge, fishburn, fixtures, hat
+from fishlab import burge, dyck, fishburn, fixtures, hat
 from fishlab import sequences as seqs
 
 from helpers import accepts, outcome
@@ -280,7 +280,7 @@ def test_generators_reject_bad_arguments():
         fishburn.enumerate_subdiagonal(3, "zigzag")
 
 
-@pytest.mark.parametrize("d", [-1, -3, 1.5])
+@pytest.mark.parametrize("d", [-1, -3, 1.5, True, False])
 @pytest.mark.parametrize("call", [
     lambda d: hat.hat_d((1, 1, 2), d),
     lambda d: hat.enumerate_d_asc(3, d),
@@ -289,9 +289,15 @@ def test_generators_reject_bad_arguments():
     lambda d: fishburn.d_active_elements((2, 1), d),
     lambda d: fishburn.is_d_fishburn((2, 1), d),
     lambda d: fishburn.enumerate_d_fishburn(3, d),
+    lambda d: seqs.d_asc_set((1, 2, 1), d),
+    lambda d: seqs.is_d_ascent_seq((1, 2, 1), d),
+    # at d = -1 this counted the DD factor and returned 1
+    lambda d: dyck.count_ddu_factor("UDUDDUU", d),
+    lambda d: fishburn.contains_sigma((2, 3, 1), d),
 ], ids=[
     "hat_d", "enumerate_d_asc", "enumerate_mod_d_asc", "phi_d",
     "d_active_elements", "is_d_fishburn", "enumerate_d_fishburn",
+    "d_asc_set", "is_d_ascent_seq", "count_ddu_factor", "contains_sigma",
 ])
 def test_d_must_be_a_nonnegative_integer(call, d):
     with pytest.raises(ValueError):
