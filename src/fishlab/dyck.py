@@ -8,9 +8,8 @@ Paths are ASCII strings over U and D.
 import math
 from itertools import islice
 
-from .fishburn import check_perm
 from .hat import weak_descent_children
-from .sequences import check_d, check_n, level_sizes, tree_words
+from .sequences import check_count, check_perm, level_sizes, tree_words
 
 
 def is_dyck(path: str) -> bool:
@@ -51,11 +50,12 @@ def phi_213(p) -> str:
 
 
 def count_ddu_factor(path: str, d: int) -> int:
-    """Occurrences of the contiguous factor DDU^(d+1), counted window-wise."""
-    check_d(d)
-    target = "DD" + "U" * (d + 1)
-    k = len(target)
-    return sum(path[i : i + k] == target for i in range(len(path) - k + 1))
+    """Occurrences of the factor DDU^(d+1) in a path over U and D: DD lies
+    only at its start, so no two overlap, and str.count finds each."""
+    check_count(d, "d")
+    if type(path) is not str or path.strip("UD"):
+        raise ValueError(f"not a path over U and D: {path!r}")
+    return path.count("DD" + "U" * (d + 1))
 
 
 def dyck_children(state):
@@ -70,7 +70,7 @@ def dyck_children(state):
 
 def enumerate_dyck_paths(n: int) -> list:
     """All Dyck paths of semilength n, as a list, U before D at each step."""
-    check_n(n)
+    check_count(n, "n")
     return list(map("".join, tree_words(2 * n, (0, n), dyck_children)))
 
 
@@ -89,7 +89,7 @@ def avoider_213_children(unused):
 def enumerate_avoiders_213(n: int) -> list:
     """All 213-avoiding permutations of [n], as a list in lexicographic
     order: the leaves of the avoider_213_children tree."""
-    check_n(n)
+    check_count(n, "n")
     return tree_words(n, tuple(range(1, n + 1)), avoider_213_children)
 
 
@@ -106,6 +106,7 @@ def gen_tree_counts(rule: str, depth: int):
     trees = {"Omega": ((1, 1), omega_children), "Theta": ((0, 1), weak_descent_children)}
     if rule not in trees:
         raise ValueError(f"unknown rule: {rule}")
+    check_count(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     return list(islice(level_sizes(*trees[rule]), depth))

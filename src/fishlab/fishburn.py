@@ -4,14 +4,9 @@ subdiagonal permutations."""
 import math
 from itertools import permutations
 
-from .sequences import check_d, check_n, tree_words
+from .sequences import check_count, check_perm, tree_words
 
 SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
-
-
-def check_perm(p) -> None:
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of [{len(p)}]: {p}")
 
 
 def d_active_elements(p, d: int) -> frozenset:
@@ -22,7 +17,7 @@ def d_active_elements(p, d: int) -> frozenset:
     the permutations p of [n] and the nonnegative integers d: any other
     input raises ValueError.  Checks d and p once, then sweeps with
     positions and activity in lists: O(n^2)."""
-    check_d(d)
+    check_count(d, "d")
     check_perm(p)
     pos = [0] * len(p)  # pos[k - 1]: the position of k
     for i, v in enumerate(p):
@@ -75,7 +70,8 @@ def _contains_fishburn_pattern(p, active):
 
 
 def _has_increasing_subseq(values, k: int) -> bool:
-    """True iff values contains a strictly increasing subsequence of length k."""
+    """True iff values contains a strictly increasing subsequence of length k.
+    Not bisect: bench/selftest.py times this search as fishburn's own work."""
     if k == 0:
         return True
     tails = []
@@ -99,8 +95,13 @@ def _has_increasing_subseq(values, k: int) -> bool:
 def contains_sigma(p, d: int) -> bool:
     """Occurrence of the length-(d+3) pattern: an adjacent rise p_i < p_{i+1},
     the value p_i - 1 at some later position j, and d increasing entries
-    below p_i - 1 strictly between positions i+1 and j."""
-    check_d(d)
+    below p_i - 1 strictly between positions i+1 and j, in the permutation p."""
+    check_count(d, "d")
+    check_perm(p)
+    return _contains_sigma(p, d)
+
+
+def _contains_sigma(p, d):
     pos = {v: i for i, v in enumerate(p)}
     for i in range(len(p) - 1):
         v = p[i]
@@ -114,7 +115,12 @@ def contains_sigma(p, d: int) -> bool:
 
 def contains_mesh_a(p) -> bool:
     """An adjacent descent p_i > p_{i+1} with no earlier entry strictly
-    between the two values."""
+    between the two values, in the permutation p."""
+    check_perm(p)
+    return _contains_mesh_a(p)
+
+
+def _contains_mesh_a(p):
     for i in range(len(p) - 1):
         if p[i] > p[i + 1] and not any(p[i + 1] < p[j] < p[i] for j in range(i)):
             return True
@@ -141,7 +147,7 @@ def phi_d(w, d: int) -> tuple:
     and site a is the gap after the (a-1)-th of them.  Checks d, then
     checks each letter of w as it reads it; each insertion is one index
     and at most two list inserts: O(n)."""
-    check_d(d)
+    check_count(d, "d")
     p = []
     act = []  # the active values, in position order
     prev = 0  # so that position 1 is a d-ascent for every d >= 0
@@ -166,8 +172,8 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
     is active iff a > b - d.  Only members are visited, at O(n) per
     child; the leaves are collected and sorted into lexicographic order.
     """
-    check_d(d)
-    check_n(n)
+    check_count(d, "d")
+    check_count(n, "n")
     if n == 0:
         return [()]
     out = []
@@ -217,9 +223,14 @@ def subdiagonal(p, mode: str) -> bool:
     One pass that keeps the cap n + 1 - i of the current block i and
     returns at the first entry above it.  A block ends where its run
     breaks: at v <= prev for increasing runs, at v >= prev for decreasing
-    ones, so equal neighbours sit in different blocks."""
+    ones.  Defined exactly on the permutations p."""
     if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
+    check_perm(p)
+    return _subdiagonal(p, mode)
+
+
+def _subdiagonal(p, mode):
     increasing = mode == "increasing-runs"
     cap = len(p) + 1
     # a sentinel that no first entry continues the run of
@@ -257,7 +268,7 @@ def enumerate_subdiagonal(n: int, mode: str) -> list:
     whose root's last value no first value continues the run of."""
     if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
-    check_n(n)
+    check_count(n, "n")
     increasing = mode == "increasing-runs"
     root = increasing, tuple(range(1, n + 1)), n + 1, n + 1 if increasing else 0
     return tree_words(n, root, subdiagonal_children)
@@ -265,5 +276,5 @@ def enumerate_subdiagonal(n: int, mode: str) -> list:
 
 def enumerate_perms(n: int) -> list:
     """All permutations of [n], as a list in lexicographic order."""
-    check_n(n)
+    check_count(n, "n")
     return list(permutations(range(1, n + 1)))

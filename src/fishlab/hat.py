@@ -7,14 +7,8 @@ reaches j the entry there is still the input letter a_j, while the entries
 left of it generally have a different d-ascent set from the input's.
 """
 
-from .sequences import (
-    _is_d_ascent_seq,
-    check_d,
-    check_n,
-    d_asc_thresholds,
-    is_inversion,
-    tree_words,
-)
+from .sequences import (_is_d_ascent_seq, check_count, d_asc_thresholds,
+                        is_inversion, tree_words)
 
 
 def modify(w, j: int) -> tuple:
@@ -29,7 +23,7 @@ def hat_d(w, d: int) -> tuple:
     """modify folded over the d-ascents of w, left to right.  Checks d, then
     reads w once, checking each letter as it is read: one O(n^2) pass on a
     list, which lifts the entries >= a_j left of each d-ascent j."""
-    check_d(d)
+    check_count(d, "d")
     out = list(w)
     dasc = 0
     prev = 0  # so that position 1 is a d-ascent for every d >= 0
@@ -56,11 +50,14 @@ def hat_max(w) -> tuple:
     pops, O(n^2) at worst."""
     avail = list(range(1, len(w) + 1))
     out = [0] * len(w)
-    for j in range(len(w), 0, -1):
-        a = w[j - 1]
-        if not 1 <= a <= j:
-            raise ValueError(f"not an inversion sequence: {w}")
-        out[j - 1] = avail.pop(a - 1)
+    try:
+        for j in range(len(w), 0, -1):
+            a = w[j - 1]
+            if not 1 <= a <= j:
+                raise ValueError
+            out[j - 1] = avail.pop(a - 1)
+    except (TypeError, ValueError):  # a letter that is no integer fails the pop
+        raise ValueError(f"not an inversion sequence: {w}") from None
     return tuple(out)
 
 
@@ -119,7 +116,7 @@ def weak_descent_children(state):
 
 def enumerate_d_asc(n: int, d: int) -> list:
     """All d-ascent sequences of length n, as a list in lexicographic order."""
-    check_d(d)
+    check_count(d, "d")
     return tree_words(n, (d, 0, 0), d_asc_children)
 
 
@@ -130,8 +127,8 @@ def enumerate_mod_d_asc(n: int, d: int) -> list:
 
     O(n) per node of the d-ascent sequence tree; neither hat_d nor a
     d-ascent sequence is ever built."""
-    check_n(n)
-    check_d(d)
+    check_count(n, "n")
+    check_count(d, "d")
     return _as_tuples(_hat_tree(n, d, d))
 
 
@@ -148,7 +145,7 @@ def enumerate_modinv(n: int) -> list:
     Every inversion sequence is an (n-1)-ascent sequence and hat_d is
     constant from d = n - 1 on, so the orbits over d <= n - 1 hold every
     image.  O(n) per node, with 1.14 nodes per member at n = 8."""
-    check_n(n)
+    check_count(n, "n")
     return _as_tuples(_hat_tree(n, 0, max(n - 1, 0)))
 
 

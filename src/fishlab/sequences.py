@@ -19,23 +19,22 @@ from collections import Counter
 from itertools import combinations, product
 
 
-def check_d(d) -> None:
-    """Raise ValueError unless d is a nonnegative integer; a bool is not one."""
-    if type(d) is not int or d < 0:
-        raise ValueError(f"d must be a nonnegative integer, got {d!r}")
+def check_count(x, name: str) -> None:
+    """Raise ValueError unless the count x, a length n, a difference d, a
+    series order or a tree depth, is a nonnegative integer; a bool is not one."""
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {x!r}")
 
 
-def check_n(n) -> None:
-    """Raise ValueError unless the length n is a nonnegative integer."""
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+def check_perm(p) -> None:
+    """Raise ValueError unless p is a permutation of [len(p)]."""
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a permutation of [{len(p)}]: {p}")
 
 
 def d_asc_set(w, d: int) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1} - d."""
-    check_d(d)
+    check_count(d, "d")
     return _d_asc_set(w, d)
 
 
@@ -102,7 +101,7 @@ def is_inversion(w) -> bool:
 
 def is_d_ascent_seq(w, d: int) -> bool:
     """True iff every entry satisfies 1 <= a_i <= 1 + (d-ascents of the prefix)."""
-    check_d(d)
+    check_count(d, "d")
     return _is_d_ascent_seq(w, d)
 
 
@@ -188,7 +187,7 @@ def tree_words(n: int, root, children) -> list:
     below that depth the words of length m under a state, its tails, are
     built once per (state, m), from the tails of its children.  A prefix
     then takes the tails of its state by one concatenation per leaf."""
-    check_n(n)
+    check_count(n, "n")
     if n == 0:
         return [()]
     split = n // 2
@@ -221,7 +220,7 @@ def tree_words(n: int, root, children) -> list:
 
 def enumerate_inversion(n: int) -> list:
     """All inversion sequences of length n, as a list in lexicographic order."""
-    check_n(n)
+    check_count(n, "n")
     return list(product(*(range(1, i + 1) for i in range(1, n + 1))))
 
 

@@ -14,15 +14,14 @@ when the result is wrapped in a TruncSeries at the end.
 from fractions import Fraction
 from operator import mul
 
-from .sequences import check_d
+from .sequences import check_count
 
 
 class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        check_count(order, "order")
         cs = [Fraction(c) for c in coeffs[: order + 1]]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.order = order
@@ -75,8 +74,7 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power; use reciprocal")
+        check_count(k, "k")
         result = TruncSeries.constant(1, self.order)
         for _ in range(k):
             result = result * self
@@ -115,9 +113,8 @@ def _solve(d: int, q_value, order: int) -> tuple:
     P~^1 .. P~^max(2, k) are kept up to date as each lands.  The result is
     checked by substitution.
     """
-    check_d(d)
-    if not isinstance(order, int) or order < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+    check_count(d, "d")
+    check_count(order, "order")
     q = Fraction(q_value)
     s = q.denominator
     # for d >= 1 the marked step contributes U' P (D P)^(d-1), whose image

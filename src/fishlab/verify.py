@@ -297,20 +297,15 @@ def _fishburn_number(n, d):
     _each_n(8),
 )
 def _hat_max_images(n, d):
-    irsub = {
-        p for p in fishburn.enumerate_perms(n)
-        if fishburn.subdiagonal(p, "increasing-runs")
-    }
+    perms = fishburn.enumerate_perms(n)  # read by unchecked predicates
+    irsub = {p for p in perms if fishburn._subdiagonal(p, "increasing-runs")}
     image = {hat.hat_max(w) for w in hat.enumerate_d_asc(n, 0)}
     yield "hatmax-ascseq-is-irsub", n, d, irsub, image
-    drsub = {
-        p for p in fishburn.enumerate_perms(n)
-        if fishburn.subdiagonal(p, "decreasing-runs")
-    }
+    drsub = {p for p in perms if fishburn._subdiagonal(p, "decreasing-runs")}
     image = {hat.hat_max(w) for w in hat.enumerate_weak_descent(n)}
     yield "hatmax-wdesc-is-drsub", n, d, drsub, image
     yield "flat-step-mesh-correspondence", n, d, True, all(
-        bool(seqs.flat_steps(w)) == fishburn.contains_mesh_a(hat.hat_max(w))
+        bool(seqs.flat_steps(w)) == fishburn._contains_mesh_a(hat.hat_max(w))
         for w in seqs.enumerate_inversion(n)
     )
 
@@ -319,16 +314,16 @@ def _hat_max_images(n, d):
 def _insertion_law(n, d):
     ok = True
     for p in fishburn.enumerate_perms(n):
-        in_irsub = fishburn.subdiagonal(p, "increasing-runs")
+        in_irsub = fishburn._subdiagonal(p, "increasing-runs")
         nasc = len(seqs.asc_set(p))
-        in_drsub = fishburn.subdiagonal(p, "decreasing-runs")
+        in_drsub = fishburn._subdiagonal(p, "decreasing-runs")
         nwdes = len(seqs.wdes_set(p))
         for a in range(1, n + 2):
             lifted = tuple(c + 1 if c >= a else c for c in p) + (a,)
             want = in_irsub and a <= 1 + nasc
-            ok = ok and fishburn.subdiagonal(lifted, "increasing-runs") == want
+            ok = ok and fishburn._subdiagonal(lifted, "increasing-runs") == want
             want = in_drsub and a <= 1 + nwdes
-            ok = ok and fishburn.subdiagonal(lifted, "decreasing-runs") == want
+            ok = ok and fishburn._subdiagonal(lifted, "decreasing-runs") == want
     yield "subdiag-insertion-law", n, d, True, ok
 
 
@@ -391,7 +386,7 @@ def _dyck(n, d_max):
     yield "phi213-bijective", n, None, True, ok
     for d in range(d_max + 1):
         yield "sigma-factor-transfer", n, d, True, all(
-            fishburn.contains_sigma(p, d) == (dyck.count_ddu_factor(path, d) > 0)
+            fishburn._contains_sigma(p, d) == (dyck.count_ddu_factor(path, d) > 0)
             for p, path in zip(avoiders, paths)
         )
         counts = Counter(dyck.count_ddu_factor(r, d) for r in all_paths)

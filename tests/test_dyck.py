@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -102,6 +102,21 @@ def test_count_ddu_factor():
     assert dyck.count_ddu_factor("UUDDUUDDUUDD", 0) == 2
     assert dyck.count_ddu_factor("", 3) == 0
     assert dyck.count_ddu_factor("UUUDDUUDDD", 0) == 1
+
+
+# reference oracle: count_ddu_factor as it was before it used str.count,
+# the factor compared with every window
+def _count_ddu_by_windows(path, d):
+    target = "DD" + "U" * (d + 1)
+    k = len(target)
+    return sum(path[i : i + k] == target for i in range(len(path) - k + 1))
+
+
+def test_count_ddu_factor_matches_window_count():
+    for length in range(11):
+        for path in map("".join, product("UD", repeat=length)):
+            for d in range(4):
+                assert dyck.count_ddu_factor(path, d) == _count_ddu_by_windows(path, d)
 
 
 def test_gen_tree_counts():

@@ -193,10 +193,13 @@ def _subdiagonal_by_blocks(p, mode):
 
 @pytest.mark.parametrize("mode", fishburn.SUBDIAGONAL_MODES)
 def test_subdiagonal_matches_blocks(mode):
-    # the words over [1..n] include every tie between neighbours
+    # the words over [1..n] include every tie between neighbours, which the
+    # unchecked form decides and the public form refuses
     for n in range(7):
         for w in product(range(1, n + 1), repeat=n):
-            assert fishburn.subdiagonal(w, mode) == _subdiagonal_by_blocks(w, mode)
+            assert fishburn._subdiagonal(w, mode) == _subdiagonal_by_blocks(w, mode)
+            is_perm = sorted(w) == list(range(1, n + 1))
+            assert accepts(fishburn.subdiagonal, w, mode) == is_perm
     for p in permutations(range(1, 9)):
         assert fishburn.subdiagonal(p, mode) == _subdiagonal_by_blocks(p, mode)
 
@@ -218,7 +221,7 @@ def _max_is_active(flags, gap, below, d):
 
 
 def _phi_d_by_flags(w, d):
-    seqs.check_d(d)
+    seqs.check_count(d, "d")
     if not seqs.is_d_ascent_seq(w, d):
         raise ValueError(f"not a {d}-ascent sequence: {w}")
     p, flags = [], []

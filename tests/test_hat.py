@@ -261,7 +261,7 @@ def _fold(w, positions) -> tuple:
 # reference oracle: hat_d as it was before it checked w while folding: the
 # whole word checked first, then folded over its d-ascent set
 def _hat_d_fold_over_d_asc_set(w, d):
-    seqs.check_d(d)
+    seqs.check_count(d, "d")
     if not seqs.is_d_ascent_seq(w, d):
         raise ValueError(f"not a {d}-ascent sequence: {w}")
     return _fold(w, seqs.d_asc_set(w, d))
@@ -304,7 +304,7 @@ def test_enumerators_reject_negative_n():
         lambda: dyck.enumerate_dyck_paths(-1),
         lambda: dyck.enumerate_avoiders_213(-1),
     ):
-        with pytest.raises(ValueError, match="n must be nonnegative"):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
             call()
 
 
@@ -333,9 +333,10 @@ def _enumerator_calls(n):
 
 
 def test_enumerators_reject_non_integer_n():
-    for f, args in _enumerator_calls(2.5):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            f(*args)
+    for n in (2.5, True):
+        for f, args in _enumerator_calls(n):
+            with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+                f(*args)
 
 
 def test_every_enumerator_returns_a_sorted_list():

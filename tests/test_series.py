@@ -111,6 +111,12 @@ def test_arithmetic_basics():
     assert (1 - x).coeffs == (1, -1, 0, 0, 0)
 
 
+@pytest.mark.parametrize("k", [-1, 1.5, True])
+def test_power_takes_a_nonnegative_integer(k):
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+        TruncSeries.x(4) ** k
+
+
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         TruncSeries.x(3) + TruncSeries.x(4)
@@ -210,6 +216,7 @@ def test_solve_P_rejects_negative_order():
     (-2, 3, "d must be a nonnegative integer, got -2"),
     (1, 2.0, "order must be a nonnegative integer, got 2.0"),
     (1, -1, "order must be a nonnegative integer, got -1"),
+    (1, True, "order must be a nonnegative integer, got True"),
 ])
 def test_series_check_their_arguments_at_the_call(f, d, order, message):
     with pytest.raises(ValueError) as exc:
