@@ -7,6 +7,7 @@ from itertools import permutations
 from .sequences import check_count, check_perm, tree_words
 
 SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
+_SHARED_SETS = {}  # an active set's mask -> its one frozenset; see d_active_elements
 
 
 def d_active_elements(p, d: int) -> frozenset:
@@ -15,38 +16,58 @@ def d_active_elements(p, d: int) -> frozenset:
     k is inactive when it sits left of k-1 with at least d active values
     between them; values > k are invisible at step k.  Defined exactly on
     the permutations p of [n] and the nonnegative integers d: any other
-    input raises ValueError.  Checks d and p once, then sweeps with
-    positions and activity in lists: O(n^2)."""
+    input raises ValueError.  Checks d and p once, then sweeps: O(n^2).
+    Equal sets of values all <= 10 are one shared frozenset, so at most
+    2^10 are kept (well under 1 MiB); larger sets are built at each call."""
+    mask = _checked_mask(p, d)
+    active = _SHARED_SETS.get(mask)
+    if active is None:
+        # a frozenset built from a set gets a smaller table than from a list
+        active = frozenset({k for k in range(mask.bit_length()) if mask >> k & 1})
+        if mask < 1 << 11:
+            _SHARED_SETS[mask] = active
+    return active
+
+
+def _checked_mask(p, d):
     check_count(d, "d")
     check_perm(p)
+    try:
+        return _active_mask(p, d)
+    except TypeError:  # an entry such as 1.0 passes check_perm but indexes no list
+        raise ValueError(f"not a permutation of [{len(p)}]: {p}") from None
+
+
+def _active_mask(p, d):
+    """The d-active values of p as an int, bit k for value k.  Unchecked."""
     pos = [0] * len(p)  # pos[k - 1]: the position of k
     for i, v in enumerate(p):
         pos[v - 1] = i
     flags = [False] * len(p)  # flags[i]: p[i] is active so far
-    active = set()
+    mask = 0
     prev = -1  # the position of k - 1
     for k, i in enumerate(pos, 1):
         # active values so far are all < k, hence in the k-restriction; at
         # d = 0 none between k and k - 1 can be too few
         if i > prev or (d and sum(flags[i + 1 : prev]) < d):
             flags[i] = True
-            active.add(k)
+            mask |= 1 << k
         prev = i
-    # a frozenset built from a set gets a smaller table than one from a list
-    return frozenset(active)
+    return mask
 
 
 def _ascent_bottoms(p):
-    return frozenset(p[i] for i in range(len(p) - 1) if p[i] < p[i + 1])
+    # the values are distinct, so the sum of their bits is their union
+    return sum(1 << a for a, b in zip(p, p[1:]) if a < b)
 
 
 def is_d_fishburn(p, d: int) -> bool:
     """True iff every ascent bottom of p is a d-active element."""
-    return _is_d_fishburn(p, d_active_elements(p, d))
+    return _is_d_fishburn(p, _checked_mask(p, d))
 
 
 def _is_d_fishburn(p, active):
-    return _ascent_bottoms(p) <= active
+    return not _ascent_bottoms(p) & ~active
 
 
 def contains_fishburn_pattern(p, d: int) -> bool:
@@ -57,14 +78,14 @@ def contains_fishburn_pattern(p, d: int) -> bool:
     fishburn-equals-pattern-class checks a one-line lemma: an inactive
     ascent bottom v = p_i is not 1, which is always active, and v - 1 lies
     right of it, or v would be active, and not at i + 1, where p_{i+1} > v."""
-    return _contains_fishburn_pattern(p, d_active_elements(p, d))
+    return _contains_fishburn_pattern(p, _checked_mask(p, d))
 
 
 def _contains_fishburn_pattern(p, active):
     pos = {v: i for i, v in enumerate(p)}
     for i in range(len(p) - 1):
         v = p[i]
-        if v < p[i + 1] and v - 1 in pos and pos[v - 1] >= i + 2 and v not in active:
+        if v < p[i + 1] and v - 1 in pos and pos[v - 1] >= i + 2 and not active >> v & 1:
             return True
     return False
 
@@ -130,8 +151,8 @@ def _contains_mesh_a(p):
 def active_site_gaps(p, d: int) -> tuple:
     """Gap indices (0..n) that are active: the gap before p and the gap
     just after each d-active element."""
-    active = d_active_elements(p, d)
-    return (0,) + tuple(i + 1 for i, v in enumerate(p) if v in active)
+    active = _checked_mask(p, d)
+    return (0,) + tuple(i + 1 for i, v in enumerate(p) if active >> v & 1)
 
 
 def phi_d(w, d: int) -> tuple:
@@ -208,12 +229,11 @@ def phi_d_parent(p, d: int):
     plus the number of active values left of n."""
     if not p:
         raise ValueError("the empty permutation has no parent")
-    active = d_active_elements(p, d)
-    if not _ascent_bottoms(p) <= active:
+    active = _checked_mask(p, d)
+    if _ascent_bottoms(p) & ~active:
         raise ValueError(f"not a {d}-Fishburn permutation: {p}")
-    n = len(p)
-    gap = p.index(n)
-    return tuple(v for v in p if v != n), 1 + len(active.intersection(p[:gap]))
+    gap = p.index(len(p))
+    return tuple(p[:gap] + p[gap + 1 :]), 1 + sum(active >> v & 1 for v in p[:gap])
 
 
 def subdiagonal(p, mode: str) -> bool:

@@ -263,13 +263,13 @@ def _burget_injective(n, d):
 def _phi(n, d):
     words = hat.enumerate_d_asc(n, d)
     images = [fishburn.phi_d(w, d) for w in words]
-    yield "phi-equals-burget-hat", n, d, True, all(
-        p == burge.burget(hat.hat_d(w, d)) for w, p in zip(words, images)
-    )
+    yield "phi-equals-burget-hat", n, d, True, next((  # or the first counterexample
+        [w, p, q] for w, p in zip(words, images) if p != (q := burge.burget(hat.hat_d(w, d)))
+    ), True)
     # one sweep of S_n: each permutation's activity feeds both tests
     by_membership, by_pattern = set(), set()
     for p in fishburn.enumerate_perms(n):
-        active = fishburn.d_active_elements(p, d)
+        active = fishburn._active_mask(p, d)
         if fishburn._is_d_fishburn(p, active):
             by_membership.add(p)
         if not fishburn._contains_fishburn_pattern(p, active):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fishlab import cli, fixtures, hat, series, verify
+from fishlab import burge, cli, fixtures, hat, series, verify
 
 
 def run(argv):
@@ -255,6 +255,18 @@ def test_verify_raising_claim_fails_one_row_and_goes_on(monkeypatch, capsys):
     assert ours[1]["actual"] == "ValueError: no two"
     assert [r["check"] for r in rows if not r["pass"]] == ["raises-at-two"]
     assert capsys.readouterr().err == ""
+
+
+def test_phi_claim_names_its_first_counterexample(monkeypatch):
+    # a seeded fault: burget's images of length 3 come out reversed
+    burget = burge.burget
+    monkeypatch.setattr(burge, "burget", lambda c: burget(c)[::-1] if len(c) == 3 else burget(c))
+    code, text = run(["verify", "--suite", "phi", "--n-max", "4", "--d-max", "1"])
+    assert code == 1
+    rows = [json.loads(line) for line in text.splitlines()]
+    # [w, phi_d(w, d), burget(hat_d(w, d))] for the first word w it fails on
+    assert [(r["check"], r["n"], r["d"], r["actual"]) for r in rows if not r["pass"]] == [
+        ("phi-equals-burget-hat", 3, d, [[1, 1, 1], [3, 2, 1], [1, 2, 3]]) for d in (0, 1)]
 
 
 def test_failing_set_report_names_a_witness():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -329,6 +330,81 @@ def test_d_active_elements_matches_sets():
                 assert fishburn.d_active_elements(p, d) == _d_active_by_sets(p, d)
 
 
+# reference oracles: the readers of activity as they were before it became
+# a mask, on the frozenset of d_active_elements
+def _ascent_bottoms_by_sets(p):
+    return frozenset(p[i] for i in range(len(p) - 1) if p[i] < p[i + 1])
+
+
+def _is_d_fishburn_by_sets(p, d):
+    return _ascent_bottoms_by_sets(p) <= fishburn.d_active_elements(p, d)
+
+
+def _contains_fishburn_pattern_by_sets(p, d):
+    active = fishburn.d_active_elements(p, d)
+    pos = {v: i for i, v in enumerate(p)}
+    for i in range(len(p) - 1):
+        v = p[i]
+        if v < p[i + 1] and v - 1 in pos and pos[v - 1] >= i + 2 and v not in active:
+            return True
+    return False
+
+
+def _active_site_gaps_by_sets(p, d):
+    active = fishburn.d_active_elements(p, d)
+    return (0,) + tuple(i + 1 for i, v in enumerate(p) if v in active)
+
+
+def _phi_d_parent_by_sets(p, d):
+    if not p:
+        raise ValueError("the empty permutation has no parent")
+    active = fishburn.d_active_elements(p, d)
+    if not _ascent_bottoms_by_sets(p) <= active:
+        raise ValueError(f"not a {d}-Fishburn permutation: {p}")
+    n = len(p)
+    gap = p.index(n)
+    return tuple(v for v in p if v != n), 1 + len(active.intersection(p[:gap]))
+
+
+@pytest.mark.parametrize("by_mask, by_sets", [
+    (fishburn.is_d_fishburn, _is_d_fishburn_by_sets),
+    # the unchecked forms that verify's sweep of S_n calls
+    (lambda p, d: fishburn._is_d_fishburn(p, fishburn._active_mask(p, d)),
+     _is_d_fishburn_by_sets),
+    (fishburn.contains_fishburn_pattern, _contains_fishburn_pattern_by_sets),
+    (lambda p, d: fishburn._contains_fishburn_pattern(p, fishburn._active_mask(p, d)),
+     _contains_fishburn_pattern_by_sets),
+    (fishburn.active_site_gaps, _active_site_gaps_by_sets),
+    (fishburn.phi_d_parent, _phi_d_parent_by_sets),
+], ids=[
+    "is_d_fishburn", "_is_d_fishburn", "contains_fishburn_pattern",
+    "_contains_fishburn_pattern", "active_site_gaps", "phi_d_parent",
+])
+def test_mask_readers_match_sets(by_mask, by_sets):
+    for d in range(4):
+        for n in range(8):
+            for p in permutations(range(1, n + 1)):
+                assert outcome(by_mask, p, d) == outcome(by_sets, p, d)
+
+
+def test_equal_small_active_sets_are_one_object():
+    one = {}  # each active set -> the first object returned for it
+    for d in range(4):
+        for n in range(9):
+            for p in permutations(range(1, n + 1)):
+                active = fishburn.d_active_elements(p, d)
+                assert one.setdefault(active, active) is active
+    # sets with a value above 10 are built at each call, and not kept
+    rng = random.Random(0)
+    for n in (11, 12):
+        for _ in range(100):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            for d in range(4):
+                assert fishburn.d_active_elements(p, d) == _d_active_by_sets(p, d)
+    assert len(fishburn._SHARED_SETS) <= 2 ** 10
+    assert all(max(active, default=0) <= 10 for active in fishburn._SHARED_SETS.values())
+
+
 @pytest.mark.parametrize("call", [
     lambda p: fishburn.d_active_elements(p, 0),
     lambda p: fishburn.active_site_gaps(p, 0),
@@ -336,7 +412,7 @@ def test_d_active_elements_matches_sets():
     lambda p: fishburn.phi_d_parent(p, 0),
 ], ids=["d_active_elements", "active_site_gaps", "contains_fishburn_pattern", "phi_d_parent"])
 def test_permutation_inputs_are_checked(call):
-    for p in ((1, 1), (2, 3), (0, 1), (5,), (1, 3, 3)):
+    for p in ((1, 1), (2, 3), (0, 1), (5,), (1, 3, 3), (1.0, 2.0)):
         with pytest.raises(ValueError, match="not a permutation"):
             call(p)
 

@@ -25,19 +25,25 @@ BAD_INPUTS = [
     ("tree_iso_map", ((2, 3), "omega-to-theta"), "invalid Omega label"),
     ("tree_iso_map", ((1, 1), "sideways"), "unknown direction"),
     ("contains_fishburn_pattern", ((1, 1), 0), "not a permutation"),
+    # 1.0 passes the sorted-range check, but indexes no list in the sweep
+    ("contains_fishburn_pattern", ((1.0, 2.0), 0), "not a permutation of [2]"),
     ("contains_mesh_a", ((3, 3, 1),), "not a permutation"),
     ("contains_sigma", ((1, 1), 0), "not a permutation"),
     ("contains_sigma", ((2, 3, 1), True), "d must be a nonnegative integer"),
     ("d_active_elements", ((1, 1), 0), "not a permutation"),
+    ("d_active_elements", ((1.0, 2.0), 0), "not a permutation of [2]"),
+    ("d_active_elements", ((3, 1.0, 2), 1), "not a permutation of [3]"),
     ("d_active_elements", ((2, 1), 1.5), "d must be a nonnegative integer"),
     ("enumerate_d_fishburn", (True, 0), "n must be a nonnegative integer"),
     ("enumerate_d_fishburn", (3, -1), "d must be a nonnegative integer"),
     ("enumerate_subdiagonal", (True, "increasing-runs"), "n must be a nonnegative integer"),
     ("enumerate_subdiagonal", (3, "zigzag"), "unknown mode"),
     ("is_d_fishburn", ((1, 3), 0), "not a permutation"),
+    ("is_d_fishburn", ((1.0, 2.0), 0), "not a permutation of [2]"),
     ("phi_d", ((2,), 0), "not a 0-ascent sequence"),
     ("phi_d", ((1,), "1"), "d must be a nonnegative integer"),
     ("phi_d_parent", ((), 0), "has no parent"),
+    ("phi_d_parent", ((1.0, 2.0), 0), "not a permutation of [2]"),
     ("phi_d_parent", ((2, 3, 1), 0), "not a 0-Fishburn permutation"),
     ("subdiagonal", ((5, 5), "increasing-runs"), "not a permutation"),
     ("subdiagonal", ((1,), "zigzag"), "unknown mode"),
