@@ -46,9 +46,9 @@ def _usage_errors(cmd):
 
 
 def _line_format(n: int) -> str:
-    """The %-format of one output line for a word of length n: its entries
-    run together, or comma-separated once an entry can have two digits."""
-    return ("%d" * n if n <= 9 else ",".join(["%d"] * n)) + "\n"
+    """The %-format of one output line for a word of length n >= 10, whose
+    entries can have two digits: its entries comma-separated."""
+    return ",".join(["%d"] * n) + "\n"
 
 
 # bytes.translate table from a word of one byte per entry, its words joined
@@ -58,21 +58,22 @@ _DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
 
 # name: (requires --d, which the others refuse; its members at (n, d), as the
 # hat tree's sorted byte leaves for modasc and modinv; the (root, rule) at
-# (n, d) of the tree whose depth-n leaves it examines: every family but modinv
-# is counted on d-ascent or weak-descent words, via phi_d, hat_d and hat_max)
+# (n, d) of the tree whose depth-n leaves it examines: the weak-descent tree
+# for wdesc and drsub, via hat_max, else the hat tree, which at lo = hi = d
+# is the d-ascent sequence tree, via phi_d and hat_d)
 FAMILIES = {
     "dasc": (True, hat.enumerate_d_asc,
-             lambda n, d: ((d, 0, 0), hat.d_asc_children)),
+             lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),
     "modasc": (True, lambda n, d: hat._hat_tree(n, d, d),
-               lambda n, d: ((d, 0, 0), hat.d_asc_children)),
+               lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),
     "modinv": (False, lambda n, d: hat._hat_tree(n, 0, max(n - 1, 0)),
                lambda n, d: ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children)),
     "wdesc": (False, lambda n, d: hat.enumerate_weak_descent(n),
               lambda n, d: ((0, 0), hat.weak_descent_children)),
     "fishburn": (True, fishburn.enumerate_d_fishburn,
-                 lambda n, d: ((d, 0, 0), hat.d_asc_children)),
+                 lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),
     "irsub": (False, lambda n, d: fishburn.enumerate_subdiagonal(n, "increasing-runs"),
-              lambda n, d: ((0, 0, 0), hat.d_asc_children)),
+              lambda n, d: ((0, 0, 0, 0), hat.hat_tree_children)),
     "drsub": (False, lambda n, d: fishburn.enumerate_subdiagonal(n, "decreasing-runs"),
               lambda n, d: ((0, 0), hat.weak_descent_children)),
 }

@@ -12,20 +12,6 @@ from .hat import weak_descent_children
 from .sequences import check_count, check_perm, level_sizes, tree_words
 
 
-def is_dyck(path: str) -> bool:
-    h = 0
-    for s in path:
-        if s == "U":
-            h += 1
-        elif s == "D":
-            h -= 1
-        else:
-            return False
-        if h < 0:
-            return False
-    return h == 0
-
-
 def phi_213(p) -> str:
     """First-letter decomposition p = p_1 L R -> U phi(L) D phi(R).
     Defined exactly on the 213-avoiding permutations: those whose entries

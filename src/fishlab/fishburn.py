@@ -32,10 +32,7 @@ def d_active_elements(p, d: int) -> frozenset:
 def _checked_mask(p, d):
     check_count(d, "d")
     check_perm(p)
-    try:
-        return _active_mask(p, d)
-    except TypeError:  # an entry such as 1.0 passes check_perm but indexes no list
-        raise ValueError(f"not a permutation of [{len(p)}]: {p}") from None
+    return _active_mask(p, d)
 
 
 def _active_mask(p, d):

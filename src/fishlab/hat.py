@@ -7,7 +7,7 @@ reaches j the entry there is still the input letter a_j, while the entries
 left of it generally have a different d-ascent set from the input's.
 """
 
-from .sequences import (_is_d_ascent_seq, check_count, d_asc_thresholds,
+from .sequences import (check_count, d_asc_thresholds, is_d_ascent_seq,
                         is_inversion, tree_words)
 
 
@@ -95,16 +95,9 @@ def h_orbit(w):
         raise ValueError(f"not an inversion sequence: {w}")
     orbit = []
     for d in d_asc_thresholds(w):
-        if orbit or _is_d_ascent_seq(w, d):
+        if orbit or is_d_ascent_seq(w, d):
             orbit.append((d, hat_d(w, d)))
     return tuple(orbit)
-
-
-def d_asc_children(state):
-    """The d-ascent sequence tree on states (d, d-ascents, last letter),
-    root (d, 0, 0): a letter b after a is a d-ascent iff b > a - d."""
-    d, dasc, a = state
-    return [(b, (d, dasc + (b > a - d), b)) for b in range(1, dasc + 2)]
 
 
 def weak_descent_children(state):
@@ -117,7 +110,7 @@ def weak_descent_children(state):
 def enumerate_d_asc(n: int, d: int) -> list:
     """All d-ascent sequences of length n, as a list in lexicographic order."""
     check_count(d, "d")
-    return tree_words(n, (d, 0, 0), d_asc_children)
+    return tree_words(n, (d, d, 0, 0), hat_tree_children)
 
 
 def enumerate_mod_d_asc(n: int, d: int) -> list:
@@ -158,10 +151,12 @@ def _as_tuples(leaves: list) -> list:
 
 def hat_tree_children(state):
     """The tree of _hat_tree on states (lo, hi, dasc, last letter), root
-    (lo, hi, 0, 0).  _hat_tree inlines it, as its leaves are fold states,
-    not words of letters, and the same DFS driven by this rule ran
-    1.8-1.9x slower (modinv at n = 7, 8 and modasc at n = 8, d <= 1; best
-    of 15 on a 2-vCPU Xeon, Python 3.11.7)."""
+    (lo, hi, 0, 0).  At lo = hi = d no range splits: a has one child, a
+    d-ascent iff a > b - d, and this is the d-ascent sequence tree.
+    _hat_tree inlines it, as its leaves are fold states, not words of
+    letters, and the same DFS driven by this rule ran 1.8-1.9x slower
+    (modinv at n = 7, 8 and modasc at n = 8, d <= 1; best of 15 on a
+    2-vCPU Xeon, Python 3.11.7)."""
     lo, hi, dasc, b = state
     out = []
     for a in range(1, dasc + 2):

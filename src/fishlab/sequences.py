@@ -10,9 +10,9 @@ a children rule, which maps a state to its children as (letter, state)
 pairs, the state holding only what the rule reads.  level_sizes counts
 the levels by a DP on the states, and tree_words lists the words of the
 leaves, building the subtrees below half the depth once per state.  The
-rules: cayley_children here, d_asc_children and weak_descent_children in
-hat, subdiagonal_children in fishburn, and dyck_children and
-avoider_213_children in dyck.
+rules: cayley_children here, weak_descent_children and hat_tree_children
+(at lo = hi = d, the d-ascent sequence tree) in hat, subdiagonal_children
+in fishburn, and dyck_children and avoider_213_children in dyck.
 """
 
 from collections import Counter
@@ -27,24 +27,25 @@ def check_count(x, name: str) -> None:
 
 
 def check_perm(p) -> None:
-    """Raise ValueError unless p is a permutation of [len(p)]."""
-    if sorted(p) != list(range(1, len(p) + 1)):
+    """Raise ValueError unless p is a permutation of [len(p)]: entries that
+    sum to an int, as no float among them does, and sort to 1, ..., n."""
+    try:
+        ok = type(sum(p)) is int and sorted(p) == list(range(1, len(p) + 1))
+    except TypeError:  # an entry that cannot be added or compared
+        ok = False
+    if not ok:
         raise ValueError(f"not a permutation of [{len(p)}]: {p}")
 
 
 def d_asc_set(w, d: int) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1} - d."""
     check_count(d, "d")
-    return _d_asc_set(w, d)
-
-
-def _d_asc_set(w, d):
     return tuple(i for i in range(1, len(w) + 1) if i == 1 or w[i - 1] > w[i - 2] - d)
 
 
 def asc_set(w) -> tuple:
     """Positions i with i == 1 or a_i > a_{i-1}: the 0-ascents."""
-    return _d_asc_set(w, 0)
+    return d_asc_set(w, 0)
 
 
 def d_asc_thresholds(w) -> tuple:
@@ -102,10 +103,6 @@ def is_inversion(w) -> bool:
 def is_d_ascent_seq(w, d: int) -> bool:
     """True iff every entry satisfies 1 <= a_i <= 1 + (d-ascents of the prefix)."""
     check_count(d, "d")
-    return _is_d_ascent_seq(w, d)
-
-
-def _is_d_ascent_seq(w, d):
     dasc = 0
     prev = None
     for a in w:
@@ -135,7 +132,7 @@ def min_d(w) -> int:
     if not is_inversion(w):
         raise ValueError(f"not an inversion sequence: {w}")
     # the d-ascent set, and with it membership, changes only at a threshold
-    return next(d for d in d_asc_thresholds(w) if _is_d_ascent_seq(w, d))
+    return next(d for d in d_asc_thresholds(w) if is_d_ascent_seq(w, d))
 
 
 def word_pattern(w) -> tuple:

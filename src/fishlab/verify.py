@@ -280,9 +280,8 @@ def _phi(n, d):
 
 @_claim("phi", "fishburn-number", _each_n(len(fixtures.FISHBURN_NUMBERS) - 1, d=0))
 def _fishburn_number(n, d):
-    by_perms = sum(
-        1 for p in fishburn.enumerate_perms(n) if fishburn.is_d_fishburn(p, d)
-    )
+    by_perms = sum(fishburn._is_d_fishburn(p, fishburn._active_mask(p, d))
+                   for p in fishburn.enumerate_perms(n))
     by_words = len(hat.enumerate_d_asc(n, d))
     # both counts are the published number; a disagreement shows both
     actual = by_perms if by_perms == by_words else [by_perms, by_words]
@@ -443,7 +442,8 @@ def _catalan_convergence(n, d):
 def _table_cross_check(n, d):
     # the coefficient `fishlab table` prints, against the 213-avoiders that
     # are d-Fishburn, counted by filtering
-    count = sum(fishburn.is_d_fishburn(p, d) for p in dyck.enumerate_avoiders_213(n))
+    count = sum(fishburn._is_d_fishburn(p, fishburn._active_mask(p, d))
+                for p in dyck.enumerate_avoiders_213(n))
     yield "table-213-cross-check", n, d, series.series_Q(d, -1, n).coeffs[n], count
 
 

@@ -20,9 +20,6 @@ def run(argv):
 
 def test_serialize_seq():
     # the comma form starts at n = 10, where an entry can have two digits
-    assert cli._line_format(3) % (1, 2, 1) == "121\n"
-    assert cli._line_format(0) % () == "\n"
-    assert cli._line_format(9) % tuple(range(9, 0, -1)) == "987654321\n"
     assert cli._line_format(10) % tuple(range(1, 11)) == "1,2,3,4,5,6,7,8,9,10\n"
 
 
@@ -32,9 +29,10 @@ def test_enumerate_line_is_serialize_seq():
     for n in range(13):
         w = tuple(range(n, 0, -1))
         line = ("" if n <= 9 else ",").join(map(str, w)) + "\n"
-        assert cli._line_format(n) % w == line
         if n <= 9:
             assert (bytes(w) + b"\0").translate(cli._DIGIT_LINES).decode() == line
+        else:
+            assert cli._line_format(n) % w == line
 
 
 # sha256 of the stdout of `enumerate`, run for each d <= 2 (families that

@@ -412,7 +412,7 @@ def test_equal_small_active_sets_are_one_object():
     lambda p: fishburn.phi_d_parent(p, 0),
 ], ids=["d_active_elements", "active_site_gaps", "contains_fishburn_pattern", "phi_d_parent"])
 def test_permutation_inputs_are_checked(call):
-    for p in ((1, 1), (2, 3), (0, 1), (5,), (1, 3, 3), (1.0, 2.0)):
+    for p in ((1, 1), (2, 3), (0, 1), (5,), (1, 3, 3), (1.0, 2.0), (1, "a")):
         with pytest.raises(ValueError, match="not a permutation"):
             call(p)
 

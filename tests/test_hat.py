@@ -83,11 +83,14 @@ def test_hat_inv_roundtrip_through_hat_max(w):
 
 
 def test_enumerate_d_asc_members_are_valid_and_sorted():
-    for d in range(3):
-        for n in range(6):
-            found = list(hat.enumerate_d_asc(n, d))
-            assert found == sorted(found)
-            assert all(seqs.is_d_ascent_seq(w, d) for w in found)
+    # the hat tree's leaves at lo = hi = d are the filter of the inversion
+    # sequences, which enumerate_inversion lists in lexicographic order
+    for d in range(4):
+        for n in range(8):
+            found = hat.enumerate_d_asc(n, d)
+            assert found == [
+                w for w in seqs.enumerate_inversion(n) if seqs.is_d_ascent_seq(w, d)
+            ]
 
 
 def test_enumerate_mod_d_asc_matches_hat_image():
@@ -359,14 +362,14 @@ def test_enumerators_keep_no_reference_to_their_list():
 
 def test_level_sizes_match_the_tree_leaves():
     # the label DP against the word DFS and the inline hat-tree DFS, on the
-    # rule each tree has in hat
+    # rule each tree has in hat; at lo = hi = d the hat tree's rule is the
+    # d-ascent sequence tree, so its level sizes count both
     wdesc = list(islice(seqs.level_sizes((0, 0), hat.weak_descent_children), 9))
     for d in range(4):
-        dasc = list(islice(seqs.level_sizes((d, 0, 0), hat.d_asc_children), 9))
-        modasc = list(islice(seqs.level_sizes((d, d, 0, 0), hat.hat_tree_children), 9))
+        dasc = list(islice(seqs.level_sizes((d, d, 0, 0), hat.hat_tree_children), 9))
         for n in range(9):
-            assert dasc[n] == sum(1 for _ in hat.enumerate_d_asc(n, d))
-            assert modasc[n] == len(hat._hat_tree(n, d, d))
+            assert dasc[n] == len(hat.enumerate_d_asc(n, d))
+            assert dasc[n] == len(hat._hat_tree(n, d, d))
     for n in range(9):
         assert wdesc[n] == sum(1 for _ in hat.enumerate_weak_descent(n))
         hi = max(n - 1, 0)

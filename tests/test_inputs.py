@@ -10,7 +10,9 @@ import fishlab
 # (exported name, bad arguments, a fragment of the ValueError's message)
 BAD_INPUTS = [
     ("burge_transpose", ((2, 1), (1, 1)), "not weakly increasing"),
+    ("burge_transpose", ((1.0, 2.0), (1, 2)), "rows must be Cayley permutations"),
     ("burget", ((1, 3),), "not a Cayley permutation"),
+    ("burget", ((1.0, 2.0),), "not a Cayley permutation"),
     ("count_ddu_factor", ("DDUXYZ", 0), "not a path over U and D"),
     ("count_ddu_factor", (["D", "D", "U"], 0), "not a path over U and D"),
     ("count_ddu_factor", ("UDUDDUU", -1), "d must be a nonnegative integer"),
@@ -22,17 +24,24 @@ BAD_INPUTS = [
     ("gen_tree_counts", ("Xi", 3), "unknown rule"),
     ("phi_213", ((1, 1),), "not a permutation"),
     ("phi_213", ((2, 1, 3),), "contains 213"),
+    ("phi_213", ((1.0, 2.0),), "not a permutation of [2]"),
+    ("phi_213", ((1, "a"),), "not a permutation of [2]"),
     ("tree_iso_map", ((2, 3), "omega-to-theta"), "invalid Omega label"),
     ("tree_iso_map", ((1, 1), "sideways"), "unknown direction"),
     ("contains_fishburn_pattern", ((1, 1), 0), "not a permutation"),
-    # 1.0 passes the sorted-range check, but indexes no list in the sweep
+    # an entry such as 1.0 sorts equal to 1, but sums to no int
     ("contains_fishburn_pattern", ((1.0, 2.0), 0), "not a permutation of [2]"),
     ("contains_mesh_a", ((3, 3, 1),), "not a permutation"),
+    ("contains_mesh_a", ((1.0, 2.0),), "not a permutation of [2]"),
+    ("contains_mesh_a", ((1, "a"),), "not a permutation of [2]"),
     ("contains_sigma", ((1, 1), 0), "not a permutation"),
+    ("contains_sigma", ((1.0, 2.0), 0), "not a permutation of [2]"),
+    ("contains_sigma", ((1, "a"), 0), "not a permutation of [2]"),
     ("contains_sigma", ((2, 3, 1), True), "d must be a nonnegative integer"),
     ("d_active_elements", ((1, 1), 0), "not a permutation"),
     ("d_active_elements", ((1.0, 2.0), 0), "not a permutation of [2]"),
     ("d_active_elements", ((3, 1.0, 2), 1), "not a permutation of [3]"),
+    ("d_active_elements", ((1, "a"), 0), "not a permutation of [2]"),
     ("d_active_elements", ((2, 1), 1.5), "d must be a nonnegative integer"),
     ("enumerate_d_fishburn", (True, 0), "n must be a nonnegative integer"),
     ("enumerate_d_fishburn", (3, -1), "d must be a nonnegative integer"),
@@ -47,6 +56,8 @@ BAD_INPUTS = [
     ("phi_d_parent", ((2, 3, 1), 0), "not a 0-Fishburn permutation"),
     ("subdiagonal", ((5, 5), "increasing-runs"), "not a permutation"),
     ("subdiagonal", ((1,), "zigzag"), "unknown mode"),
+    ("subdiagonal", ((1.0, 2.0), "increasing-runs"), "not a permutation of [2]"),
+    ("subdiagonal", ((1, "a"), "increasing-runs"), "not a permutation of [2]"),
     ("enumerate_d_asc", (True, 0), "n must be a nonnegative integer"),
     ("enumerate_d_asc", (3, True), "d must be a nonnegative integer"),
     ("enumerate_mod_d_asc", (2.0, 0), "n must be a nonnegative integer"),

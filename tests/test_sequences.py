@@ -20,14 +20,16 @@ def all_words(n):
 
 
 def test_asc_set_examples():
-    assert seqs.asc_set((1, 2, 1, 2, 4, 2, 2, 3, 2)) == (1, 2, 4, 5, 8)
+    w, ascents = fixtures.ASC_EXAMPLE
+    assert seqs.asc_set(w) == ascents
     assert seqs.asc_set((1,)) == (1,)
     assert seqs.asc_set((3, 2, 1)) == (1,)
     assert seqs.asc_set(()) == ()
 
 
 def test_d_asc_set_examples():
-    assert seqs.d_asc_set((1, 2, 1, 3, 1, 5, 3, 2), 2) == (1, 2, 3, 4, 6, 8)
+    w, d, ascents = fixtures.DASC_EXAMPLE
+    assert seqs.d_asc_set(w, d) == ascents
     assert seqs.d_asc_set((1, 1), 1) == (1, 2)
 
 
@@ -114,7 +116,7 @@ def test_is_inversion_requires_positive_entries():
 
 def test_is_d_ascent_seq_examples():
     found = {w for w in all_words(3) if seqs.is_d_ascent_seq(w, 0)}
-    assert found == {(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)}
+    assert found == set(fixtures.ASCSEQ_3)
     assert not seqs.is_d_ascent_seq((1, 1, 3), 0)
     assert seqs.is_d_ascent_seq((1, 1, 3), 1)
 
@@ -255,7 +257,7 @@ def _tree_words_dfs(n, root, children):
 
 def _rules(n):
     """(root, children) of every rule tree_words runs on, for length n."""
-    rules = [((d, 0, 0), hat.d_asc_children) for d in range(4)]
+    rules = [((d, d, 0, 0), hat.hat_tree_children) for d in range(4)]
     return rules + [
         ((0, 0), hat.weak_descent_children),
         ((n, 0, ()), seqs.cayley_children),
@@ -264,7 +266,6 @@ def _rules(n):
         ((False, tuple(range(1, n + 1)), n + 1, 0), fishburn.subdiagonal_children),
         (tuple(range(1, n + 1)), dyck.avoider_213_children),
         ((0, n), dyck.dyck_children),
-        ((0, 0, 0, 0), hat.hat_tree_children),
         ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children),
         ((1, 1), dyck.omega_children),
     ]
@@ -352,5 +353,5 @@ def test_level_sizes_match_zagier_identity():
     # Kitaev, JCTA 117, 2010), whose series Zagier gave
     zagier = _zagier_fishburn(40)
     assert zagier[: len(fixtures.FISHBURN_NUMBERS)] == fixtures.FISHBURN_NUMBERS
-    sizes = seqs.level_sizes((0, 0, 0), hat.d_asc_children)
+    sizes = seqs.level_sizes((0, 0, 0, 0), hat.hat_tree_children)
     assert list(islice(sizes, 41)) == zagier
