@@ -38,6 +38,10 @@ ASCSEQ_3 = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
 # modified d-ascent sequences of length 2 for d = 0 and d = 1
 MODASC_2 = {0: {(1, 1), (1, 2)}, 1: {(2, 1), (1, 2)}}
 
+# number of weak descent sequences of length n = 0..8; from n = 1 on, the
+# number of primitive ascent sequences (no flat step) of length n
+WEAK_DESCENT_COUNTS = [1, 1, 1, 2, 5, 16, 61, 271, 1372]
+
 # number of modified inversion sequences of length n = 0..8
 MODINV_COUNTS = [1, 1, 3, 10, 43, 224, 1396, 10136, 84057]
 
@@ -55,6 +59,10 @@ TABLE_213 = {
     4: [1, 1, 2, 5, 14, 42, 132, 428, 1420, 4796, 16432, 56966, 199448],
     5: [1, 1, 2, 5, 14, 42, 132, 429, 1429, 4851, 16718, 58331, 205632],
 }
+
+# the algebraic data (g, h) of the d = 1, 2 rows of TABLE_213: their series
+# Q, as polynomial coefficient lists in x, satisfy (2(1-x) - gQ)^2 = hQ^2
+ALGEBRAIC_213 = {1: ([1, -2, 1], [1, -4, 2, 0, 1]), 2: ([1, -2, 2], [1, -4, 0, 4])}
 
 # Catalan numbers C_0..C_12
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]

@@ -28,12 +28,15 @@ def check_count(x, name: str) -> None:
 
 def check_perm(p) -> None:
     """Raise ValueError unless p is a permutation of [len(p)]: entries that
-    sum to an int, as no float among them does, and sort to 1, ..., n."""
+    sum to an int, as no float among them does, and sort to 1, ..., n, of
+    which the 1 is no bool."""
     try:
         ok = type(sum(p)) is int and sorted(p) == list(range(1, len(p) + 1))
     except TypeError:  # an entry that cannot be added or compared
         ok = False
-    if not ok:
+    # True sums and sorts as 1, and False fails the sort, so once the sort
+    # passes the entry equal to 1 is the one a bool can stand for
+    if not ok or p and p[p.index(1)] is True:
         raise ValueError(f"not a permutation of [{len(p)}]: {p}")
 
 

@@ -413,15 +413,11 @@ def _q0_closed_form(n, d):
     yield "q0-closed-form", n, d, closed.coeffs, series.series_Q(d, -1, n).coeffs
 
 
-# (2(1-x) - g*Q)^2 = h*Q^2 with the algebraic data (g, h) for d = 1, 2
-_ALGEBRAIC = {1: ([1, -2, 1], [1, -4, 2, 0, 1]), 2: ([1, -2, 2], [1, -4, 0, 4])}
-
-
 @_claim("series", "q-algebraic-residual", _fixed((12, 1), (12, 2)))
 def _algebraic_residual(n, d):
     x = series.TruncSeries.x(n)
     q = series.series_Q(d, -1, n)
-    g, h = (series.TruncSeries(c, n) for c in _ALGEBRAIC[d])
+    g, h = (series.TruncSeries(c, n) for c in fixtures.ALGEBRAIC_213[d])
     lhs = (2 * (1 - x) - g * q) ** 2
     yield "q-algebraic-residual", n, d, True, lhs == h * q * q
 

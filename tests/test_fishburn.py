@@ -89,25 +89,12 @@ def test_phi_d_parent_recovers_insertion():
                 assert parent == rebuilt
 
 
-def test_is_d_fishburn_rejects_non_permutations():
-    for p in ((1, 1), (5,), (0, 1), (2, 3)):
-        with pytest.raises(ValueError):
-            fishburn.is_d_fishburn(p, 0)
-
-
-def test_phi_d_parent_rejects_non_member():
-    with pytest.raises(ValueError):
-        fishburn.phi_d_parent((2, 3, 1), 0)
-
-
 def test_subdiagonal_classes():
     # 231 avoidance in run-block form: every entry of block i is at most n+1-i
     assert fishburn.subdiagonal((1,), "increasing-runs")
     assert fishburn.subdiagonal((3, 1, 2), "increasing-runs")
     assert not fishburn.subdiagonal((2, 1, 3), "increasing-runs")
     assert not fishburn.subdiagonal((2, 1, 6, 5, 4, 3, 7), "decreasing-runs")
-    with pytest.raises(ValueError):
-        fishburn.subdiagonal((1,), "zigzag")
 
 
 # reference oracles: all n! permutations filtered through the public
@@ -273,15 +260,6 @@ def test_enumerate_d_fishburn_matches_flag_tree():
     for d in range(4):
         for n in range(9):
             assert fishburn.enumerate_d_fishburn(n, d) == _d_fishburn_flag_tree(n, d)
-
-
-def test_generators_reject_bad_arguments():
-    with pytest.raises(ValueError):
-        fishburn.enumerate_d_fishburn(-1, 0)
-    with pytest.raises(ValueError):
-        fishburn.enumerate_subdiagonal(-1, "increasing-runs")
-    with pytest.raises(ValueError):
-        fishburn.enumerate_subdiagonal(3, "zigzag")
 
 
 @pytest.mark.parametrize("d", [-1, -3, 1.5, True, False])

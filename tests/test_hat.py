@@ -1,7 +1,6 @@
 import sys
 from itertools import chain, combinations, islice, permutations, product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,16 +29,6 @@ def test_hat_worked_examples():
     assert hat.hat_d(word, 2) == image
     word, image = fixtures.HAT1_EXAMPLE
     assert hat.hat_d(word, 1) == image
-
-
-def test_hat_inv_rejects_zero_entries():
-    with pytest.raises(ValueError):
-        hat.hat_inv((0,))
-
-
-def test_hat_rejects_non_member():
-    with pytest.raises(ValueError):
-        hat.hat_d((1, 1, 3), 0)
 
 
 def test_hat_max_worked_examples():
@@ -145,14 +134,6 @@ def test_modasc0_characterization_fails_on_a_missing_member(monkeypatch):
     assert actual - expected == {generate(4)[-1]}
 
 
-def test_hat_tree_refuses_words_past_a_byte():
-    # the fold state holds one entry per byte; no such n could finish anyway
-    with pytest.raises(ValueError, match="at most 255"):
-        hat.enumerate_modinv(256)
-    with pytest.raises(ValueError, match="at most 255"):
-        hat.enumerate_mod_d_asc(256, 0)
-
-
 def test_enumerate_mod_d_asc_small_example():
     assert set(hat.enumerate_mod_d_asc(2, 0)) == fixtures.MODASC_2[0]
     assert set(hat.enumerate_mod_d_asc(2, 1)) == fixtures.MODASC_2[1]
@@ -180,7 +161,7 @@ def test_orbit_stabilizes_at_length():
 
 
 def test_enumerate_weak_descent_counts():
-    for n, count in enumerate([1, 1, 1, 2, 5, 16, 61, 271, 1372]):
+    for n, count in enumerate(fixtures.WEAK_DESCENT_COUNTS):
         found = list(hat.enumerate_weak_descent(n))
         assert len(found) == count
         assert all(seqs.is_weak_descent_seq(w) for w in found)
@@ -295,22 +276,6 @@ def test_hat_inv_matches_nub_peel():
         assert outcome(hat.hat_inv, g) == outcome(_hat_inv_nub_peel, g)
 
 
-def test_enumerators_reject_negative_n():
-    for call in (
-        lambda: hat.enumerate_d_asc(-1, 0),
-        lambda: hat.enumerate_mod_d_asc(-1, 0),
-        lambda: hat.enumerate_weak_descent(-1),
-        lambda: hat.enumerate_modinv(-1),
-        lambda: seqs.enumerate_cayley(-1),
-        lambda: seqs.enumerate_inversion(-1),
-        lambda: fishburn.enumerate_perms(-1),
-        lambda: dyck.enumerate_dyck_paths(-1),
-        lambda: dyck.enumerate_avoiders_213(-1),
-    ):
-        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
-            call()
-
-
 def _enumerator_calls(n):
     """(enumerator, args) for every public enumerator and tree_words at
     length n, at each d <= 2 and each subdiagonal mode where it takes one."""
@@ -333,13 +298,6 @@ def _enumerator_calls(n):
     for mode in fishburn.SUBDIAGONAL_MODES:
         calls.append((fishburn.enumerate_subdiagonal, (n, mode)))
     return calls
-
-
-def test_enumerators_reject_non_integer_n():
-    for n in (2.5, True):
-        for f, args in _enumerator_calls(n):
-            with pytest.raises(ValueError, match="n must be a nonnegative integer"):
-                f(*args)
 
 
 def test_every_enumerator_returns_a_sorted_list():

@@ -97,8 +97,6 @@ def test_constructor_pads_and_truncates():
     s = TruncSeries([1, 2, 3, 4], 2)
     assert s.coeffs == (1, 2, 3)
     assert poly([1]).coeffs == (1,) + (0,) * 8
-    with pytest.raises(ValueError):
-        TruncSeries([1], -1)
 
 
 def test_arithmetic_basics():
@@ -179,11 +177,6 @@ def test_series_against_brute_force_distribution():
                 assert series.coeffs[n] == direct
 
 
-def test_solve_P_rejects_negative_d():
-    with pytest.raises(ValueError):
-        solve_P(-1, 0, 5)
-
-
 @pytest.mark.parametrize("d", range(6))
 def test_engine_matches_fixed_point_reference(d):
     for q in (-1, 0, 2, Fraction(1, 2), Fraction(-3, 7)):
@@ -202,13 +195,6 @@ def test_integer_engine_matches_fraction_engine(d):
             assert list(series_Q(d, q, order).coeffs) == fraction_series_Q(d, q, order)
 
 
-def test_solve_P_rejects_negative_order():
-    with pytest.raises(ValueError):
-        solve_P(1, -1, -1)
-    with pytest.raises(ValueError):
-        series_Q(1, -1, -1)
-
-
 @pytest.mark.parametrize("f", [solve_P, series_Q])
 @pytest.mark.parametrize("d, order, message", [
     (1.5, 3, "d must be a nonnegative integer, got 1.5"),
@@ -224,10 +210,7 @@ def test_series_check_their_arguments_at_the_call(f, d, order, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("d, g, h", [
-    (1, [1, -2, 1], [1, -4, 2, 0, 1]),
-    (2, [1, -2, 2], [1, -4, 0, 4]),
-])
+@pytest.mark.parametrize("d, g, h", [(d, *gh) for d, gh in fixtures.ALGEBRAIC_213.items()])
 def test_algebraic_residual_at_large_order(d, g, h):
     # (2(1-x) - gQ)^2 = hQ^2, on integer lists, far past the fixture table
     order = 300
