@@ -1,6 +1,7 @@
 import random
 from itertools import chain, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,11 @@ def test_transpose_involution_random(word):
 def test_burget_example():
     word, image = fixtures.BURGET_EXAMPLE
     assert burge.burget(word) == image
+
+
+def test_burget_rejects_non_cayley():
+    with pytest.raises(ValueError):
+        burge.burget((1, 3))
 
 
 def test_burget_is_permutation_valued():

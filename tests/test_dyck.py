@@ -138,6 +138,14 @@ def test_gen_tree_counts():
     assert dyck.gen_tree_counts("Omega", 8) == fixtures.WEAK_DESCENT_COUNTS[1:]
 
 
+def test_tree_iso_roundtrip():
+    # the round trip on valid labels is the tree-iso-child-multisets claim
+    with pytest.raises(ValueError):
+        dyck.tree_iso_map((2, 3), "omega-to-theta")
+    with pytest.raises(ValueError):
+        dyck.tree_iso_map((1, 1), "sideways")
+
+
 # reference oracle: phi_213 as it was when it checked its input by word
 # pattern containment before decomposing it
 def _phi_213_by_pattern(p):
@@ -169,6 +177,12 @@ def test_phi_213_on_long_monotone_permutations():
     p = (2, 1) + tuple(range(3, n + 1))
     with pytest.raises(ValueError, match="contains 213"):
         dyck.phi_213(p)
+
+
+def test_phi_213_rejects_non_permutations():
+    for p in ((1, 1), (2, 2, 3), (0,), (1, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            dyck.phi_213(p)
 
 
 def test_factor_distribution_claim_separates_at_n9(monkeypatch):

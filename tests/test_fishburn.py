@@ -89,6 +89,11 @@ def test_phi_d_parent_recovers_insertion():
                 assert parent == rebuilt
 
 
+def test_phi_d_parent_rejects_non_member():
+    with pytest.raises(ValueError):
+        fishburn.phi_d_parent((2, 3, 1), 0)
+
+
 def test_subdiagonal_classes():
     # 231 avoidance in run-block form: every entry of block i is at most n+1-i
     assert fishburn.subdiagonal((1,), "increasing-runs")

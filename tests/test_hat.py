@@ -1,6 +1,7 @@
 import sys
 from itertools import chain, combinations, islice, permutations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,14 @@ def test_modasc0_characterization_fails_on_a_missing_member(monkeypatch):
     assert check == "modasc0-characterization"
     assert expected != actual
     assert actual - expected == {generate(4)[-1]}
+
+
+def test_hat_tree_refuses_words_past_a_byte():
+    # the fold state holds one entry per byte; no such n could finish anyway
+    with pytest.raises(ValueError, match="at most 255"):
+        hat.enumerate_modinv(256)
+    with pytest.raises(ValueError, match="at most 255"):
+        hat.enumerate_mod_d_asc(256, 0)
 
 
 def test_enumerate_mod_d_asc_small_example():

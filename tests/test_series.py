@@ -177,6 +177,11 @@ def test_series_against_brute_force_distribution():
                 assert series.coeffs[n] == direct
 
 
+def test_solve_P_rejects_negative_d():
+    with pytest.raises(ValueError):
+        solve_P(-1, 0, 5)
+
+
 @pytest.mark.parametrize("d", range(6))
 def test_engine_matches_fixed_point_reference(d):
     for q in (-1, 0, 2, Fraction(1, 2), Fraction(-3, 7)):
