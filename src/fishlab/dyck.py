@@ -100,15 +100,16 @@ def gen_tree_counts(rule: str, depth: int):
 
 def tree_iso_map(label, direction: str):
     """The linear bijection between Omega labels (a, l) and Theta labels
-    (w, u): w = a - 1, u = a - l + 1."""
+    (w, u): w = a - 1, u = a - l + 1.  A label is a pair of ints, no bool."""
+    pair = type(label) is tuple and len(label) == 2 and all(type(c) is int for c in label)
     if direction == "omega-to-theta":
-        a, ell = label
-        if not 1 <= ell <= a:
+        if not pair or not 1 <= label[1] <= label[0]:
             raise ValueError(f"invalid Omega label: {label}")
+        a, ell = label
         return (a - 1, a - ell + 1)
     if direction == "theta-to-omega":
-        w, u = label
-        if not 1 <= u <= w + 1:
+        if not pair or not 1 <= label[1] <= label[0] + 1:
             raise ValueError(f"invalid Theta label: {label}")
+        w, u = label
         return (w + 1, w + 2 - u)
     raise ValueError(f"unknown direction: {direction}")

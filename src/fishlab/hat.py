@@ -12,8 +12,8 @@ from .sequences import (check_count, d_asc_thresholds, is_d_ascent_seq,
 
 
 def modify(w, j: int) -> tuple:
-    """Increment every entry strictly left of position j that is >= a_j."""
-    if not 1 <= j <= len(w):
+    """Increment every entry strictly left of position j, an int, that is >= a_j."""
+    if type(j) is not int or not 1 <= j <= len(w):
         raise ValueError(f"position {j} out of range for word of length {len(w)}")
     aj = w[j - 1]
     return tuple(a + 1 if i < j and a >= aj else a for i, a in enumerate(w, 1))

@@ -99,8 +99,8 @@ def is_cayley(w) -> bool:
 
 
 def is_inversion(w) -> bool:
-    """True iff 1 <= a_i <= i for every position i."""
-    return all(1 <= a <= i for i, a in enumerate(w, 1))
+    """True iff every a_i is an int, and no bool, with 1 <= a_i <= i."""
+    return all(type(a) is int and 1 <= a <= i for i, a in enumerate(w, 1))
 
 
 def is_d_ascent_seq(w, d: int) -> bool:

@@ -1,8 +1,10 @@
-"""Truncated univariate power series over exact rationals, and the
-series of Dyck paths with marked DDU^(d+1) factors.
+"""The series of Dyck paths with marked DDU^(d+1) factors, in exact
+rationals.  No floating point anywhere.
 
-TruncSeries holds fractions.Fraction coefficients; all arithmetic is exact
-modulo x^(order+1).  No floating point anywhere.
+TruncSeries is the record that solve_P and series_Q return: the order N
+and the coefficients of x^0..x^N, as a tuple of fractions.Fraction.  It
+compares by both and has a repr, and does no arithmetic; the engine
+multiplies plain coefficient lists, with _product and _inv_one_minus_x.
 
 solve_P and series_Q read the coefficients of the marked-path equation off
 one at a time on plain lists, about max(2, d) N^2 coefficient products for
@@ -27,14 +29,6 @@ class TruncSeries:
         self.order = order
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, c, order: int) -> "TruncSeries":
-        return cls([Fraction(c)], order)
-
-    @classmethod
-    def x(cls, order: int) -> "TruncSeries":
-        return cls([0, 1], order)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncSeries):
             return self.order == other.order and self.coeffs == other.coeffs
@@ -42,51 +36,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)}, order={self.order})"
-
-    def _coerce(self, other) -> "TruncSeries":
-        if isinstance(other, TruncSeries):
-            if other.order != self.order:
-                raise ValueError("order mismatch")
-            return other
-        return TruncSeries.constant(other, self.order)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return TruncSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries([-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return TruncSeries(_product(self.coeffs, other.coeffs, self.order), self.order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        check_count(k, "k")
-        result = TruncSeries.constant(1, self.order)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def reciprocal(self) -> "TruncSeries":
-        """For self = c0 + x*t, 1/self = (1/c0) / (1 - x*(-t/c0))."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("constant term is zero")
-        t = [-c / c0 for c in self.coeffs[1:]]
-        return TruncSeries([r / c0 for r in _inv_one_minus_x(t, self.order)], self.order)
 
 
 def _product(a, b, order: int) -> list:

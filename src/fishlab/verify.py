@@ -408,18 +408,21 @@ def _table_row(n, d):
 
 @_claim("series", "q0-closed-form", _fixed((12, 0)))
 def _q0_closed_form(n, d):
-    x = series.TruncSeries.x(n)
-    closed = (1 - x) * (1 - 2 * x).reciprocal()
-    yield "q0-closed-form", n, d, closed.coeffs, series.series_Q(d, -1, n).coeffs
+    # (1 - x) / (1 - 2x), on coefficient lists
+    inverse = series._inv_one_minus_x([2] + [0] * n, n)
+    closed = series._product([1, -1] + [0] * n, inverse, n)
+    yield "q0-closed-form", n, d, tuple(closed), series.series_Q(d, -1, n).coeffs
 
 
 @_claim("series", "q-algebraic-residual", _fixed((12, 1), (12, 2)))
 def _algebraic_residual(n, d):
-    x = series.TruncSeries.x(n)
-    q = series.series_Q(d, -1, n)
-    g, h = (series.TruncSeries(c, n) for c in fixtures.ALGEBRAIC_213[d])
-    lhs = (2 * (1 - x) - g * q) ** 2
-    yield "q-algebraic-residual", n, d, True, lhs == h * q * q
+    # (2(1 - x) - gQ)^2 = hQ^2, on coefficient lists of n + 1 terms
+    q = series.series_Q(d, -1, n).coeffs
+    g, h = (c + [0] * (n + 1 - len(c)) for c in fixtures.ALGEBRAIC_213[d])
+    two_one_minus_x = [2, -2] + [0] * (n - 1)
+    base = [a - b for a, b in zip(two_one_minus_x, series._product(g, q, n))]
+    yield "q-algebraic-residual", n, d, True, (
+        series._product(base, base, n) == series._product(h, series._product(q, q, n), n))
 
 
 # the length-(d+3) pattern cannot occur while n <= d + 2

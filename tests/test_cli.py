@@ -351,6 +351,13 @@ def test_table_cross_check_fails_on_a_seeded_fault(monkeypatch, bad_d, coeff, co
     assert _failed_rows("table-213-cross-check", n_max=5) == [(4, bad_d, coeff, count)]
 
 
+@pytest.mark.parametrize("delta", [1, Fraction(1, 2)])
+def test_closed_form_and_residual_fail_on_a_seeded_fault(monkeypatch, delta):
+    _series_off_at_x4(monkeypatch, delta)
+    assert [row[:2] for row in _failed_rows("q0-closed-form")] == [(12, 0)]
+    assert [row[:2] for row in _failed_rows("q-algebraic-residual")] == [(12, 1), (12, 2)]
+
+
 def test_series_claims_fail_on_a_non_integer_coefficient(monkeypatch):
     # int() would truncate 14 + 1/2 to 14, and the rows would pass
     _series_off_at_x4(monkeypatch, Fraction(1, 2))

@@ -101,6 +101,12 @@ ONE_OFF = [
     ("min_d", ((2, 1),), "not an inversion sequence"),
     ("hat_max", ((1, 1.5),), "not an inversion sequence"),
     ("modify", ((1, 2), 3), "out of range"),
+    # a position is an int, and no bool
+    ("modify", ((1, 2), True), "position True out of range"),
+    ("modify", ((1, 2), 1.5), "position 1.5 out of range"),
+    # a letter is an int, and no bool: (1, 1.5) would give a threshold d = 0.5
+    *((name, (w,), "not an inversion sequence")
+      for name in ("h_orbit", "min_d") for w in ((1, 1.5), (True,))),
     ("contains_word_pattern", ((1, 2), ()), "empty pattern"),
     ("avoids_all", ((1, 2), [(2, 1), ()]), "empty pattern"),
     # the fold state holds one entry per byte; no such n could finish anyway
@@ -119,6 +125,10 @@ ONE_OFF = [
     ("tree_iso_map", ((2, 3), "omega-to-theta"), "invalid Omega label"),
     ("tree_iso_map", ((0, 2), "theta-to-omega"), "invalid Theta label"),
     ("tree_iso_map", ((1, 1), "sideways"), "unknown direction"),
+    # a label is a pair of ints, and no bools
+    *(("tree_iso_map", (label, direction), f"invalid {kind} label")
+      for direction, kind in (("omega-to-theta", "Omega"), ("theta-to-omega", "Theta"))
+      for label in ((1.5, 1), (True, True), 5)),
     ("check_tableau", ((1,), ()), "rows differ in length"),
     ("check_tableau", ((2, 1), (1, 1)), "not weakly increasing"),
     ("check_tableau", ((1, 3), (1, 2)), "rows must be Cayley permutations"),

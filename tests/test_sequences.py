@@ -110,6 +110,7 @@ def test_is_inversion_requires_positive_entries():
     assert not seqs.is_inversion((0, 0))
     assert not seqs.is_inversion((-3,))
     assert not seqs.is_inversion((1, 0, 2))
+    assert not seqs.is_inversion((1, 1.5))
 
 
 def test_is_d_ascent_seq_examples():
