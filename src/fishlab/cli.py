@@ -60,7 +60,8 @@ _DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
 # hat tree's sorted byte leaves for modasc and modinv; the (root, rule) at
 # (n, d) of the tree whose depth-n leaves it examines: the weak-descent tree
 # for wdesc and drsub, via hat_max, else the hat tree, which at lo = hi = d
-# is the d-ascent sequence tree, via phi_d and hat_d)
+# is the d-ascent sequence tree, via phi_d and hat_d: the tree that the
+# fishburn, modasc and modinv generators fold)
 FAMILIES = {
     "dasc": (True, hat.enumerate_d_asc,
              lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),

@@ -4,6 +4,7 @@ subdiagonal permutations."""
 import math
 from itertools import permutations
 
+from .hat import _fold_hat_tree
 from .sequences import check_count, check_perm, tree_words
 
 SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
@@ -162,15 +163,15 @@ def phi_d(w, d: int) -> tuple:
     m's gap.  So m lands right of m - 1 when a_m > a_{m-1}, and otherwise
     left of it with a_{m-1} - a_m active entries between them.  The active
     values, kept in position order, are thus one per d-ascent read so far,
-    and site a is the gap after the (a-1)-th of them.  Checks d, then
-    checks each letter of w as it reads it; each insertion is one index
-    and at most two list inserts: O(n)."""
+    and site a is the gap after the (a-1)-th of them.  Checks d, then each
+    letter of w, an int and no bool, as it reads it; each insertion is one
+    index and at most two list inserts: O(n)."""
     check_count(d, "d")
     p = []
     act = []  # the active values, in position order
     prev = 0  # so that position 1 is a d-ascent for every d >= 0
     for m, a in enumerate(w, 1):
-        if not 1 <= a <= 1 + len(act):
+        if type(a) is not int or not 1 <= a <= 1 + len(act):
             raise ValueError(f"not a {d}-ascent sequence: {w}")
         p.insert(p.index(act[a - 2]) + 1 if a > 1 else 0, m)
         if a > prev - d:
@@ -182,37 +183,29 @@ def phi_d(w, d: int) -> tuple:
 def enumerate_d_fishburn(n: int, d: int) -> list:
     """All d-Fishburn permutations of [n], as a sorted list.
 
-    A depth-first search over the phi_d generating tree: a node is a
+    phi_d folded along the d-ascent sequence tree: a node's object is a
     permutation with phi_d's state, its active values in position order,
-    and its children insert the next maximum into each of its active
-    sites.  As in phi_d, site a is the gap after the (a-1)-th active
-    value, and the child at site a of a node whose maximum sat at site b
-    is active iff a > b - d.  Only members are visited, at O(n) per
-    child; the leaves are collected and sorted into lexicographic order.
-    """
+    and a child with letter a inserts the next maximum into site a, the
+    gap after the (a-1)-th active value, and makes it active if a is a
+    d-ascent.  Only members are visited, at O(n) per child."""
     check_count(d, "d")
     check_count(n, "n")
     if n == 0:
         return [()]
-    out = []
+    top = n,  # a leaf's new maximum; it keeps no active values
 
-    def grow(p, act, b):
-        # b is the site that the maximum m - 1 was inserted at
+    def leaf(node, a, up):
+        p, act = node
+        g = p.index(act[a - 2]) + 1 if a > 1 else 0
+        return p[:g] + top + p[g:]
+
+    def step(node, a, up):
+        p, act = node
         m = len(p) + 1
-        for a in range(1, len(act) + 2):
-            g = p.index(act[a - 2]) + 1 if a > 1 else 0
-            child = p[:g] + (m,) + p[g:]
-            if m == n:
-                out.append(child)
-            else:
-                grow(child, act[: a - 1] + (m,) + act[a - 1 :] if a > b - d else act, a)
+        g = p.index(act[a - 2]) + 1 if a > 1 else 0
+        return p[:g] + (m,) + p[g:], act[: a - 1] + (m,) + act[a - 1 :] if up else act
 
-    # the root's last site is 0: site 1 of the empty permutation is then a
-    # d-ascent for every d >= 0
-    grow((), (), 0)
-    del grow  # break the cycle grow -> its closure -> grow, which holds out
-    out.sort()
-    return out
+    return _fold_hat_tree(n, (d, d, 0, 0), ((), ()), step, leaf)
 
 
 def phi_d_parent(p, d: int):

@@ -21,14 +21,15 @@ def modify(w, j: int) -> tuple:
 
 def hat_d(w, d: int) -> tuple:
     """modify folded over the d-ascents of w, left to right.  Checks d, then
-    reads w once, checking each letter as it is read: one O(n^2) pass on a
-    list, which lifts the entries >= a_j left of each d-ascent j."""
+    reads w once, checking each letter, an int and no bool, as it is read:
+    one O(n^2) pass on a list, which lifts the entries >= a_j left of each
+    d-ascent j."""
     check_count(d, "d")
     out = list(w)
     dasc = 0
     prev = 0  # so that position 1 is a d-ascent for every d >= 0
     for j, a in enumerate(out):
-        if not 1 <= a <= 1 + dasc:
+        if type(a) is not int or not 1 <= a <= 1 + dasc:
             raise ValueError(f"not a {d}-ascent sequence: {w}")
         if a > prev - d:
             dasc += 1
@@ -46,18 +47,15 @@ def hat_max(w) -> tuple:
     the first j entries a permutation of [j] with a_j at j, and the later
     steps keep their relative order.  So p_j is the a_j-th smallest of the
     values not used right of j.  One right-to-left pass pops it from the
-    sorted unused values, checking 1 <= a_j <= j before each pop: n list
-    pops, O(n^2) at worst."""
+    sorted unused values, checking that a_j is an int, and no bool, with
+    1 <= a_j <= j before each pop: n list pops, O(n^2) at worst."""
     avail = list(range(1, len(w) + 1))
     out = [0] * len(w)
-    try:
-        for j in range(len(w), 0, -1):
-            a = w[j - 1]
-            if not 1 <= a <= j:
-                raise ValueError
-            out[j - 1] = avail.pop(a - 1)
-    except (TypeError, ValueError):  # a letter that is no integer fails the pop
-        raise ValueError(f"not an inversion sequence: {w}") from None
+    for j in range(len(w), 0, -1):
+        a = w[j - 1]
+        if type(a) is not int or not 1 <= a <= j:
+            raise ValueError(f"not an inversion sequence: {w}")
+        out[j - 1] = avail.pop(a - 1)
     return tuple(out)
 
 
@@ -68,12 +66,13 @@ def hat_inv(g) -> tuple:
     of an inversion sequence, hats and more: folding hat_inv(g) over the nub
     of g gives g back.  Peels g_k, k = n, ..., 1, in place on one list: when
     g_k has no copy further left, the entries left of it above it are
-    shifted down first.  Checks 1 <= g_k <= k as it peels, so raises iff g
-    peels to no inversion sequence.  O(n^2)."""
+    shifted down first.  Checks that g_k is an int, and no bool, with
+    1 <= g_k <= k as it peels, so raises iff g peels to no inversion
+    sequence.  O(n^2)."""
     cur = list(g)
     for k in range(len(cur), 0, -1):
         gk = cur[k - 1]
-        if not 1 <= gk <= k:
+        if type(gk) is not int or not 1 <= gk <= k:
             raise ValueError(f"{tuple(g)} is not a fold of an inversion sequence")
         if cur.index(gk) == k - 1:
             for i in range(k - 1):
@@ -150,13 +149,12 @@ def _as_tuples(leaves: list) -> list:
 
 
 def hat_tree_children(state):
-    """The tree of _hat_tree on states (lo, hi, dasc, last letter), root
-    (lo, hi, 0, 0).  At lo = hi = d no range splits: a has one child, a
-    d-ascent iff a > b - d, and this is the d-ascent sequence tree.
-    _hat_tree inlines it, as its leaves are fold states, not words of
-    letters, and the same DFS driven by this rule ran 1.8-1.9x slower
-    (modinv at n = 7, 8 and modasc at n = 8, d <= 1; best of 15 on a
-    2-vCPU Xeon, Python 3.11.7)."""
+    """The tree of _hat_tree on states (lo, hi, dasc, last letter b), root
+    (lo, hi, 0, 0): a node's word has one d-ascent set, of size dasc, for
+    every d in [lo, hi], and a child a <= dasc + 1, a d-ascent iff
+    d >= b - a + 1, splits the range there.  At lo = hi = d it is the
+    d-ascent sequence tree.  _fold_hat_tree drives it for the families whose
+    leaves are fold states: the modified sequences, d-Fishburn permutations."""
     lo, hi, dasc, b = state
     out = []
     for a in range(1, dasc + 2):
@@ -168,25 +166,48 @@ def hat_tree_children(state):
     return out
 
 
+def _fold_hat_tree(n: int, root, start, step, leaf) -> list:
+    """The leaves at depth n >= 1 of the hat_tree_children tree from root,
+    as a sorted list of objects folded from start: a node's is step(obj,
+    letter, ascended) of its parent's obj, and a leaf's is leaf(...) of the
+    same, which can skip what only children read.  ascended: the letter is
+    a d-ascent, as the child's dasc is greater.  Each state's children are
+    listed once, as (letter, child, ascended) triples, freed with the call."""
+    kids = {}
+    out = []
+    append = out.append
+
+    def grow(obj, state, left):
+        triples = kids.get(state)
+        if triples is None:
+            triples = kids[state] = [(a, child, child[2] > state[2])
+                                     for a, child in hat_tree_children(state)]
+        if left == 1:
+            for a, _, up in triples:
+                append(leaf(obj, a, up))
+        else:
+            left -= 1
+            for a, child, up in triples:
+                grow(step(obj, a, up), child, left)
+
+    grow(start, root, n)
+    del grow, kids  # break the cycle grow -> its closure -> grow; free the lists
+    out.sort()
+    return out
+
+
 def _hat_tree(n: int, lo: int, hi: int) -> list:
     """The hat_d images of the d-ascent sequences of length n, for every d
-    in [lo, hi], each image once, as a sorted list of byte strings, one
-    byte per entry: bytes(w) for each image w.
+    in [lo, hi], each image once, as a sorted list of byte strings bytes(w).
 
-    modify at position j changes only entries left of j, so the fold state
-    of a prefix is the hat of that prefix, shared by every word with that
-    prefix.  A node is such a prefix with its fold state h, its last letter
-    b, and the range [lo, hi] of d for which it is a d-ascent sequence with
-    one and the same d-ascent set, hence dasc d-ascents.  A child appends
-    a <= dasc + 1, which is a d-ascent iff d >= t = b - a + 1: it splits the
-    range at t, appending a as is below t and lifting the entries >= a
-    first from t on.  Two leaves of one word have different d-ascent sets,
-    which are the nubs of their images, so no image comes out twice.
-
-    h is a byte string, one byte per entry, as no entry passes n: a lift is
-    one bytes.translate, the leaves sort as bytes, and `enumerate` writes
-    them with no tuple in between.  O(n) per node.  Unchecked, but for the
-    byte range: n <= 255, far past any n whose members fit in memory."""
+    modify at position j changes only entries left of j, so a node's
+    object, its fold state, is the hat of its prefix: a child lifts the
+    entries >= its letter a if a is a d-ascent, then appends a.  Two leaves
+    of one word have different d-ascent sets, the nubs of their images, so
+    no image comes out twice.  One byte per entry, as none passes n: a lift
+    is one bytes.translate, the leaves sort as bytes, and `enumerate` writes
+    them as they are.  O(n) per node.  Unchecked, but for the byte range:
+    n <= 255, far past any n whose members fit in memory."""
     if n == 0:
         return [b""]
     if n > 255:
@@ -195,28 +216,9 @@ def _hat_tree(n: int, lo: int, hi: int) -> list:
     lift = [bytes(range(a)) + bytes(range(a + 1, n + 1)) + bytes(256 - n)
             for a in range(n + 1)]
     letter = [bytes((a,)) for a in range(n + 1)]
-    out = []
 
-    def grow(h, b, dasc, lo, hi):
-        last = len(h) + 1 == n
-        for a in range(1, dasc + 2):
-            t = b - a + 1
-            if lo < t:
-                child = h + letter[a]
-                if last:
-                    out.append(child)
-                else:
-                    grow(child, a, dasc, lo, min(hi, t - 1))
-            if t <= hi:
-                child = h.translate(lift[a]) + letter[a]
-                if last:
-                    out.append(child)
-                else:
-                    grow(child, a, dasc + 1, max(lo, t), hi)
+    def step(h, a, up):
+        return (h.translate(lift[a]) if up else h) + letter[a]
 
-    # the root is the empty prefix with last letter 0: position 1 is then a
-    # d-ascent for every d >= 0
-    grow(b"", 0, 0, lo, hi)
-    del grow  # break the cycle grow -> its closure -> grow, which holds out
-    out.sort()
-    return out
+    # the root's last letter 0 makes position 1 a d-ascent for every d >= 0
+    return _fold_hat_tree(n, (lo, hi, 0, 0), b"", step, step)

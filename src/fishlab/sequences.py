@@ -5,14 +5,15 @@ A word w = a_1 ... a_n is stored as a tuple of ints with 1 <= a_i <= n
 empty word () is valid everywhere.  Position 1 always counts as an
 ascent (and a d-ascent).
 
-It also holds the one generating-tree layer.  A tree is a root state and
-a children rule, which maps a state to its children as (letter, state)
+It also holds the generating-tree layer.  A tree is a root state and a
+children rule, which maps a state to its children as (letter, state)
 pairs, the state holding only what the rule reads.  level_sizes counts
-the levels by a DP on the states, and tree_words lists the words of the
-leaves, building the subtrees below half the depth once per state.  The
-rules: cayley_children here, weak_descent_children and hat_tree_children
-(at lo = hi = d, the d-ascent sequence tree) in hat, subdiagonal_children
-in fishburn, and dyck_children and avoider_213_children in dyck.
+the levels by a DP on the states, tree_words lists the words of the
+leaves, building the subtrees below half the depth once per state, and
+hat._fold_hat_tree folds fold states along hat_tree_children.  The rules:
+cayley_children here, weak_descent_children and hat_tree_children (at
+lo = hi = d, the d-ascent sequence tree) in hat, subdiagonal_children in
+fishburn, and dyck_children and avoider_213_children in dyck.
 """
 
 from collections import Counter
@@ -104,12 +105,13 @@ def is_inversion(w) -> bool:
 
 
 def is_d_ascent_seq(w, d: int) -> bool:
-    """True iff every entry satisfies 1 <= a_i <= 1 + (d-ascents of the prefix)."""
+    """True iff every entry is an int, and no bool, with
+    1 <= a_i <= 1 + (d-ascents of the prefix)."""
     check_count(d, "d")
     dasc = 0
     prev = None
     for a in w:
-        if not 1 <= a <= 1 + dasc:
+        if type(a) is not int or not 1 <= a <= 1 + dasc:
             return False
         if prev is None or a > prev - d:
             dasc += 1

@@ -328,7 +328,7 @@ def test_enumerators_keep_no_reference_to_their_list():
 
 
 def test_level_sizes_match_the_tree_leaves():
-    # the label DP against the word DFS and the inline hat-tree DFS, on the
+    # the label DP against the word DFS and the hat-tree fold, on the
     # rule each tree has in hat; at lo = hi = d the hat tree's rule is the
     # d-ascent sequence tree, so its level sizes count both
     wdesc = list(islice(seqs.level_sizes((0, 0), hat.weak_descent_children), 9))
@@ -342,6 +342,19 @@ def test_level_sizes_match_the_tree_leaves():
         hi = max(n - 1, 0)
         modinv = seqs.level_sizes((0, hi, 0, 0), hat.hat_tree_children)
         assert next(islice(modinv, n, None)) == len(hat._hat_tree(n, 0, hi))
+
+
+def test_fold_hat_tree_matches_tree_words():
+    # the fold driver with a word-building step against the word DFS on the
+    # same rule: its child order, and its cache of each state's children,
+    # apart from the two folds that use it
+    def word(obj, letter, ascended):
+        return obj + (letter,)
+
+    for n in range(1, 7):
+        for root in [(d, d, 0, 0) for d in range(4)] + [(0, n - 1, 0, 0)]:
+            expected = sorted(seqs.tree_words(n, root, hat.hat_tree_children))
+            assert hat._fold_hat_tree(n, root, (), word, word) == expected, (n, root)
 
 
 # reference oracle for the domain of hat_inv: whether g is modify folded

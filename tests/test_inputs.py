@@ -92,21 +92,20 @@ WORD_CALLS = [
 ]
 # an entry below 1, or above its bound: a_i <= i in an inversion sequence,
 # a_i <= 1 + (d-ascents left of i) in a d-ascent sequence, and g_k <= k as
-# hat_inv peels g
-BAD_WORDS = [(0,), (-1,), (0, 0), (1, 0), (1, -2), (1, 1, 0), (1, 2, -5), (2,), (1, 3)]
+# hat_inv peels g; or a letter that is no int, or a bool, though it compares
+# as one: (1, 1.5) would give h_orbit a threshold d = 0.5
+NOT_INT_WORDS = [(1, 1.5), (1.0,), (True,)]
+BAD_WORDS = [(0,), (-1,), (0, 0), (1, 0), (1, -2), (1, 1, 0), (1, 2, -5), (2,), (1, 3),
+             *NOT_INT_WORDS]
 
 ONE_OFF = [
     ("hat_d", ((1, 1, 3), 0), "not a 0-ascent sequence"),
     ("phi_d", ((1, 1, 3), 0), "not a 0-ascent sequence"),
     ("min_d", ((2, 1),), "not an inversion sequence"),
-    ("hat_max", ((1, 1.5),), "not an inversion sequence"),
     ("modify", ((1, 2), 3), "out of range"),
     # a position is an int, and no bool
     ("modify", ((1, 2), True), "position True out of range"),
     ("modify", ((1, 2), 1.5), "position 1.5 out of range"),
-    # a letter is an int, and no bool: (1, 1.5) would give a threshold d = 0.5
-    *((name, (w,), "not an inversion sequence")
-      for name in ("h_orbit", "min_d") for w in ((1, 1.5), (True,))),
     ("contains_word_pattern", ((1, 2), ()), "empty pattern"),
     ("avoids_all", ((1, 2), [(2, 1), ()]), "empty pattern"),
     # the fold state holds one entry per byte; no such n could finish anyway
@@ -183,3 +182,9 @@ def test_every_public_name_has_bad_inputs_or_is_exempt():
 def test_a_bad_input_raises_value_error_at_the_call(name, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         PUBLIC[name](*args)
+
+
+def test_is_d_ascent_seq_is_false_on_a_letter_that_is_no_int():
+    for w in NOT_INT_WORDS:
+        for d in range(4):
+            assert not fishlab.is_d_ascent_seq(w, d), (w, d)
