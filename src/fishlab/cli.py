@@ -56,12 +56,12 @@ def _line_format(n: int) -> str:
 _DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
 
 
-# name: (requires --d, which the others refuse; its members at (n, d), as the
-# hat tree's sorted byte leaves for modasc and modinv; the (root, rule) at
-# (n, d) of the tree whose depth-n leaves it examines: the weak-descent tree
-# for wdesc and drsub, via hat_max, else the hat tree, which at lo = hi = d
-# is the d-ascent sequence tree, via phi_d and hat_d: the tree that the
-# fishburn, modasc and modinv generators fold)
+# name: (requires --d, which the others refuse; its members at (n, d), as
+# sorted byte leaves for modasc, modinv and irsub; the (root, rule) at (n, d)
+# of the tree whose depth-n leaves it examines: the weak-descent tree for
+# wdesc and drsub, else the hat tree, at lo = hi = d the d-ascent sequence
+# tree: the tree whose words dasc and wdesc are, and along which the others
+# fold hat_d (modasc, modinv), phi_d (fishburn) or hat_max (irsub, drsub))
 FAMILIES = {
     "dasc": (True, hat.enumerate_d_asc,
              lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),
@@ -73,7 +73,8 @@ FAMILIES = {
               lambda n, d: ((0, 0), hat.weak_descent_children)),
     "fishburn": (True, fishburn.enumerate_d_fishburn,
                  lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),
-    "irsub": (False, lambda n, d: fishburn.enumerate_subdiagonal(n, "increasing-runs"),
+    "irsub": (False,
+              lambda n, d: hat._byte_fold(n, (0, 0, 0, 0), hat.hat_tree_children, True),
               lambda n, d: ((0, 0, 0, 0), hat.hat_tree_children)),
     "drsub": (False, lambda n, d: fishburn.enumerate_subdiagonal(n, "decreasing-runs"),
               lambda n, d: ((0, 0), hat.weak_descent_children)),

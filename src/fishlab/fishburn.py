@@ -4,8 +4,9 @@ subdiagonal permutations."""
 import math
 from itertools import permutations
 
-from .hat import _fold_hat_tree
-from .sequences import check_count, check_perm, tree_words
+from .hat import (_as_tuples, _byte_fold, _fold_tree, hat_tree_children,
+                  weak_descent_children)
+from .sequences import check_count, check_perm
 
 SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
 _SHARED_SETS = {}  # an active set's mask -> its one frozenset; see d_active_elements
@@ -205,7 +206,7 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
         g = p.index(act[a - 2]) + 1 if a > 1 else 0
         return p[:g] + (m,) + p[g:], act[: a - 1] + (m,) + act[a - 1 :] if up else act
 
-    return _fold_hat_tree(n, (d, d, 0, 0), ((), ()), step, leaf)
+    return _fold_tree(n, (d, d, 0, 0), hat_tree_children, ((), ()), step, leaf)
 
 
 def phi_d_parent(p, d: int):
@@ -254,34 +255,18 @@ def _subdiagonal(p, mode):
     return True
 
 
-def subdiagonal_children(state):
-    """The subdiagonal tree on states (increasing, unused, cap, last): the
-    direction of the runs, the unused values, increasing, and the cap
-    n + 1 - b of the run block b of the last value.  A letter v is refused
-    when it exceeds the cap of its block, or when the values left could no
-    longer follow it: in two runs, those that continue v's run, then the
-    rest in the next block.  Only top may not fit, and it continues v's
-    run only if the runs increase.  So every node above depth n has a child."""
-    increasing, unused, cap, last = state
-    top = unused[-1]
-    out = []
-    for i, v in enumerate(unused):
-        c = cap if (last < v if increasing else last > v) else cap - 1
-        if v <= c and (v == top or top <= (c if increasing else c - 1)):
-            out.append((v, (increasing, unused[:i] + unused[i + 1 :], c, v)))
-    return out
-
-
 def enumerate_subdiagonal(n: int, mode: str) -> list:
     """The permutations of [n] that subdiagonal(p, mode) accepts, as a list
-    in lexicographic order: the leaves of the subdiagonal_children tree,
-    whose root's last value no first value continues the run of."""
+    in lexicographic order: hat_max of the ascent sequences, for increasing
+    runs, or of the weak descent sequences, the theorem that the claims
+    hatmax-ascseq-is-irsub and hatmax-wdesc-is-drsub check against the
+    filter.  _byte_fold folds it along their tree, at O(n) per node."""
     if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
     check_count(n, "n")
-    increasing = mode == "increasing-runs"
-    root = increasing, tuple(range(1, n + 1)), n + 1, n + 1 if increasing else 0
-    return tree_words(n, root, subdiagonal_children)
+    if mode == "increasing-runs":
+        return _as_tuples(_byte_fold(n, (0, 0, 0, 0), hat_tree_children, True))
+    return _as_tuples(_byte_fold(n, (0, 0), weak_descent_children, True))
 
 
 def enumerate_perms(n: int) -> list:

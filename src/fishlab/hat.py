@@ -153,8 +153,8 @@ def hat_tree_children(state):
     (lo, hi, 0, 0): a node's word has one d-ascent set, of size dasc, for
     every d in [lo, hi], and a child a <= dasc + 1, a d-ascent iff
     d >= b - a + 1, splits the range there.  At lo = hi = d it is the
-    d-ascent sequence tree.  _fold_hat_tree drives it for the families whose
-    leaves are fold states: the modified sequences, d-Fishburn permutations."""
+    d-ascent sequence tree.  _fold_tree folds hat_d, phi_d and hat_max
+    along it, for the modified sequences, d-Fishburn permutations and irsub."""
     lo, hi, dasc, b = state
     out = []
     for a in range(1, dasc + 2):
@@ -166,13 +166,14 @@ def hat_tree_children(state):
     return out
 
 
-def _fold_hat_tree(n: int, root, start, step, leaf) -> list:
-    """The leaves at depth n >= 1 of the hat_tree_children tree from root,
-    as a sorted list of objects folded from start: a node's is step(obj,
-    letter, ascended) of its parent's obj, and a leaf's is leaf(...) of the
-    same, which can skip what only children read.  ascended: the letter is
-    a d-ascent, as the child's dasc is greater.  Each state's children are
-    listed once, as (letter, child, ascended) triples, freed with the call."""
+def _fold_tree(n: int, root, children, start, step, leaf) -> list:
+    """The leaves at depth n >= 1 of the tree of children from root, as a
+    sorted list of objects folded from start: a node's is step(obj, letter,
+    ascended) of its parent's obj, and a leaf's is leaf(...) of the same,
+    which can skip what only children read.  ascended: the count that ends
+    each state before its last letter grew, d-ascents or weak descents.
+    Each state's children are listed once, as (letter, child, ascended)
+    triples, freed with the call."""
     kids = {}
     out = []
     append = out.append
@@ -180,8 +181,8 @@ def _fold_hat_tree(n: int, root, start, step, leaf) -> list:
     def grow(obj, state, left):
         triples = kids.get(state)
         if triples is None:
-            triples = kids[state] = [(a, child, child[2] > state[2])
-                                     for a, child in hat_tree_children(state)]
+            triples = kids[state] = [(a, child, child[-2] > state[-2])
+                                     for a, child in children(state)]
         if left == 1:
             for a, _, up in triples:
                 append(leaf(obj, a, up))
@@ -196,18 +197,16 @@ def _fold_hat_tree(n: int, root, start, step, leaf) -> list:
     return out
 
 
-def _hat_tree(n: int, lo: int, hi: int) -> list:
-    """The hat_d images of the d-ascent sequences of length n, for every d
-    in [lo, hi], each image once, as a sorted list of byte strings bytes(w).
-
-    modify at position j changes only entries left of j, so a node's
-    object, its fold state, is the hat of its prefix: a child lifts the
-    entries >= its letter a if a is a d-ascent, then appends a.  Two leaves
-    of one word have different d-ascent sets, the nubs of their images, so
-    no image comes out twice.  One byte per entry, as none passes n: a lift
-    is one bytes.translate, the leaves sort as bytes, and `enumerate` writes
-    them as they are.  O(n) per node.  Unchecked, but for the byte range:
-    n <= 255, far past any n whose members fit in memory."""
+def _byte_fold(n: int, root, children, every: bool) -> list:
+    """The words of length n of a tree of inversion sequences with modify
+    folded over their positions that ascended, or over all if every, which
+    is hat_max, as a sorted list of byte strings bytes(w).  modify at j
+    changes only entries left of j, so a node's object, its fold state, is
+    the image of its prefix: a child lifts the entries >= its letter a, if
+    it lifts at a, then appends a.  One byte per entry, as none passes n: a
+    lift is one bytes.translate, the leaves sort as bytes, and `enumerate`
+    writes them as they are.  O(n) per node.  Unchecked, but for the byte
+    range: n <= 255, far past any n whose members fit in memory."""
     if n == 0:
         return [b""]
     if n > 255:
@@ -217,8 +216,19 @@ def _hat_tree(n: int, lo: int, hi: int) -> list:
             for a in range(n + 1)]
     letter = [bytes((a,)) for a in range(n + 1)]
 
-    def step(h, a, up):
-        return (h.translate(lift[a]) if up else h) + letter[a]
+    if every:
+        def step(h, a, up):
+            return h.translate(lift[a]) + letter[a]
+    else:
+        def step(h, a, up):
+            return (h.translate(lift[a]) if up else h) + letter[a]
 
+    return _fold_tree(n, root, children, b"", step, step)
+
+
+def _hat_tree(n: int, lo: int, hi: int) -> list:
+    """The hat_d images of the d-ascent sequences of length n, for every d
+    in [lo, hi], each once, by _byte_fold: two leaves of one word have
+    different d-ascent sets, the nubs of their images."""
     # the root's last letter 0 makes position 1 a d-ascent for every d >= 0
-    return _fold_hat_tree(n, (lo, hi, 0, 0), b"", step, step)
+    return _byte_fold(n, (lo, hi, 0, 0), hat_tree_children, False)

@@ -10,10 +10,10 @@ children rule, which maps a state to its children as (letter, state)
 pairs, the state holding only what the rule reads.  level_sizes counts
 the levels by a DP on the states, tree_words lists the words of the
 leaves, building the subtrees below half the depth once per state, and
-hat._fold_hat_tree folds fold states along hat_tree_children.  The rules:
-cayley_children here, weak_descent_children and hat_tree_children (at
-lo = hi = d, the d-ascent sequence tree) in hat, subdiagonal_children in
-fishburn, and dyck_children and avoider_213_children in dyck.
+hat._fold_tree folds hat_d, phi_d or hat_max along hat_tree_children, or
+hat_max along weak_descent_children.  The rules: cayley_children here,
+weak_descent_children and hat_tree_children (at lo = hi = d, the d-ascent
+sequence tree) in hat, and dyck_children and avoider_213_children in dyck.
 """
 
 from collections import Counter
@@ -120,11 +120,12 @@ def is_d_ascent_seq(w, d: int) -> bool:
 
 
 def is_weak_descent_seq(w) -> bool:
-    """True iff every entry satisfies 1 <= a_i <= 1 + (weak descents of the prefix)."""
+    """True iff every entry is an int, and no bool, with
+    1 <= a_i <= 1 + (weak descents of the prefix)."""
     wdes = 0
     prev = None
     for a in w:
-        if not 1 <= a <= 1 + wdes:
+        if type(a) is not int or not 1 <= a <= 1 + wdes:
             return False
         if prev is not None and a <= prev:
             wdes += 1

@@ -170,6 +170,15 @@ def test_enumerate_subdiagonal_matches_recursive_search(mode):
         assert fishburn.enumerate_subdiagonal(n, mode) == _subdiagonal_by_recursion(n, mode)
 
 
+@pytest.mark.parametrize("mode", fishburn.SUBDIAGONAL_MODES)
+def test_enumerate_subdiagonal_is_hat_max_of_its_source(mode):
+    # the fold against the map it folds, on the words of the tree it walks
+    for n in range(9):
+        source = (hat.enumerate_d_asc(n, 0) if mode == "increasing-runs"
+                  else hat.enumerate_weak_descent(n))
+        assert fishburn.enumerate_subdiagonal(n, mode) == sorted(map(hat.hat_max, source))
+
+
 # reference oracle: subdiagonal as it was before its one pass, with the run
 # blocks built as lists first and every entry checked against its block's cap
 def _subdiagonal_by_blocks(p, mode):

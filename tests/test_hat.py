@@ -345,16 +345,19 @@ def test_level_sizes_match_the_tree_leaves():
 
 
 def test_fold_hat_tree_matches_tree_words():
-    # the fold driver with a word-building step against the word DFS on the
-    # same rule: its child order, and its cache of each state's children,
-    # apart from the two folds that use it
+    # the fold driver with a word-building step against the word DFS on
+    # both rules it folds along: its child order, and its cache of each
+    # state's children, apart from the folds that use it
     def word(obj, letter, ascended):
         return obj + (letter,)
 
     for n in range(1, 7):
-        for root in [(d, d, 0, 0) for d in range(4)] + [(0, n - 1, 0, 0)]:
-            expected = sorted(seqs.tree_words(n, root, hat.hat_tree_children))
-            assert hat._fold_hat_tree(n, root, (), word, word) == expected, (n, root)
+        rules = [((d, d, 0, 0), hat.hat_tree_children) for d in range(4)]
+        rules += [((0, n - 1, 0, 0), hat.hat_tree_children),
+                  ((0, 0), hat.weak_descent_children)]
+        for root, children in rules:
+            expected = sorted(seqs.tree_words(n, root, children))
+            assert hat._fold_tree(n, root, children, (), word, word) == expected, (n, root)
 
 
 # reference oracle for the domain of hat_inv: whether g is modify folded

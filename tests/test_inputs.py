@@ -162,7 +162,7 @@ ANY_WORD = {
 # that their own trees make, unchecked, as every node calls them
 STATE_RULES = {
     "avoider_213_children", "cayley_children", "dyck_children", "hat_tree_children",
-    "level_sizes", "omega_children", "subdiagonal_children", "weak_descent_children",
+    "level_sizes", "omega_children", "weak_descent_children",
 }
 
 
@@ -188,3 +188,9 @@ def test_is_d_ascent_seq_is_false_on_a_letter_that_is_no_int():
     for w in NOT_INT_WORDS:
         for d in range(4):
             assert not fishlab.is_d_ascent_seq(w, d), (w, d)
+
+
+def test_is_weak_descent_seq_is_false_on_a_letter_that_is_no_int():
+    # (1, 1.0) passes the range test at each letter
+    for w in NOT_INT_WORDS + [(1, 1.0)]:
+        assert not fishlab.is_weak_descent_seq(w), w

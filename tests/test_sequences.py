@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fishlab import dyck, fishburn, fixtures, hat, verify
+from fishlab import dyck, fixtures, hat, verify
 from fishlab import sequences as seqs
 
 
@@ -253,8 +253,6 @@ def _rules(n):
         ((0, 0), hat.weak_descent_children),
         ((n, 0, ()), seqs.cayley_children),
         ((n, 0, (), 0), verify._asc_is_nub_children),
-        ((True, tuple(range(1, n + 1)), n + 1, n + 1), fishburn.subdiagonal_children),
-        ((False, tuple(range(1, n + 1)), n + 1, 0), fishburn.subdiagonal_children),
         (tuple(range(1, n + 1)), dyck.avoider_213_children),
         ((0, n), dyck.dyck_children),
         ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children),
@@ -310,18 +308,12 @@ def test_cayley_rule_counts_and_never_dead_ends():
 
 def test_rule_levels_are_catalan_and_fishburn():
     # the 213-avoiders of [n] and the Dyck paths of semilength n are
-    # counted by Catalan(n), irsub by the Fishburn numbers, and drsub, the
-    # hat_max image of the weak descent sequences, by their count
-    wdesc = seqs.level_sizes((0, 0), hat.weak_descent_children)
-    for n, (fishburn_n, wdesc_n) in enumerate(zip(_zagier_fishburn(10), wdesc)):
+    # counted by Catalan(n); the Fishburn numbers count the hat tree's
+    # levels at d = 0, in test_level_sizes_match_zagier_identity
+    for n in range(11):
         catalan = comb(2 * n, n) // (n + 1)
-        unused = tuple(range(1, n + 1))
-        assert _level(n, unused, dyck.avoider_213_children) == catalan
+        assert _level(n, tuple(range(1, n + 1)), dyck.avoider_213_children) == catalan
         assert _level(2 * n, (0, n), dyck.dyck_children) == catalan
-        irsub = True, unused, n + 1, n + 1
-        assert _level(n, irsub, fishburn.subdiagonal_children) == fishburn_n
-        drsub = False, unused, n + 1, 0
-        assert _level(n, drsub, fishburn.subdiagonal_children) == wdesc_n
 
 
 def _zagier_fishburn(N):
