@@ -345,7 +345,7 @@ def test_level_sizes_match_the_tree_leaves():
 
 
 def test_fold_hat_tree_matches_tree_words():
-    # the fold driver with a word-building step against the word DFS on
+    # _fold_tree with a word-building step against the word DFS on
     # both rules it folds along: its child order, and its cache of each
     # state's children, apart from the folds that use it
     def word(obj, letter, ascended):

@@ -312,7 +312,8 @@ def test_rule_levels_are_catalan_and_fishburn():
     # levels at d = 0, in test_level_sizes_match_zagier_identity
     for n in range(11):
         catalan = comb(2 * n, n) // (n + 1)
-        assert _level(n, tuple(range(1, n + 1)), dyck.avoider_213_children) == catalan
+        unused = tuple(range(1, n + 1))
+        assert _level(n, unused, dyck.avoider_213_children) == catalan
         assert _level(2 * n, (0, n), dyck.dyck_children) == catalan
 
 
