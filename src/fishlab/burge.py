@@ -3,20 +3,12 @@
 from .sequences import is_cayley, wdes_set
 
 
-def _is_cayley(w) -> bool:
-    """is_cayley, but False where a letter such as 1.0 fails its range."""
-    try:
-        return is_cayley(w)
-    except TypeError:
-        return False
-
-
 def check_tableau(top, bottom) -> None:
     if len(top) != len(bottom):
         raise ValueError("rows differ in length")
     if any(top[i] > top[i + 1] for i in range(len(top) - 1)):
         raise ValueError("top row is not weakly increasing")
-    if not _is_cayley(top) or not _is_cayley(bottom):
+    if not is_cayley(top) or not is_cayley(bottom):
         raise ValueError("rows must be Cayley permutations")
     if not set(wdes_set(top)) <= set(wdes_set(bottom)):
         raise ValueError("weak descents of top must be weak descents of bottom")
@@ -39,6 +31,6 @@ def burget(c) -> tuple:
     is Cayley, the only requirement of check_tableau that (identity; c)
     can fail.  The transpose sorts the columns by (c_i, -i), so its bottom
     row is n, ..., 1 stably sorted by c_i: O(n log n)."""
-    if not _is_cayley(c):
+    if not is_cayley(c):
         raise ValueError(f"not a Cayley permutation: {c}")
     return tuple(sorted(range(len(c), 0, -1), key=lambda i: c[i - 1]))

@@ -9,9 +9,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import fishburn, hat, series, verify
-from .sequences import level_sizes
+from .sequences import level_sizes, tree_words
 
 # bound on enumerate_cost: admits every family at n <= 8 for every d (at
 # most 84057 objects, modinv at n = 8), refuses modinv at n = 9 and every
@@ -56,28 +57,22 @@ def _line_format(n: int) -> str:
 _DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
 
 
-# name: (requires --d, which the others refuse; its members at (n, d), as
-# sorted byte leaves for modasc, modinv and irsub; the (root, rule) at (n, d)
-# of the tree whose depth-n leaves it examines: the weak-descent tree for
-# wdesc and drsub, else the hat tree, at lo = hi = d the d-ascent sequence
-# tree: the tree whose words dasc and wdesc are, and along which the others
-# fold hat_d (modasc, modinv), phi_d (fishburn) or hat_max (irsub, drsub))
+# name: (requires --d, which the others refuse; tree(n, d), the (root,
+# rule) of the one tree whose depth-n leaves enumerate_cost counts and
+# members walks; members(n, root, rule), sorted: the tree's words, or a
+# paper map folded along it, hat_d or hat_max as byte leaves, phi_d as
+# tuples).  The hat tree at lo = hi = d is the d-ascent sequence tree.
+_HAT_MAX = partial(hat._byte_fold, every=True)
 FAMILIES = {
-    "dasc": (True, hat.enumerate_d_asc,
-             lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),
-    "modasc": (True, lambda n, d: hat._hat_tree(n, d, d),
-               lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),
-    "modinv": (False, lambda n, d: hat._hat_tree(n, 0, max(n - 1, 0)),
-               lambda n, d: ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children)),
-    "wdesc": (False, lambda n, d: hat.enumerate_weak_descent(n),
-              lambda n, d: ((0, 0), hat.weak_descent_children)),
-    "fishburn": (True, fishburn.enumerate_d_fishburn,
-                 lambda n, d: ((d, d, 0, 0), hat.hat_tree_children)),
-    "irsub": (False,
-              lambda n, d: hat._byte_fold(n, (0, 0, 0, 0), hat.hat_tree_children, True),
-              lambda n, d: ((0, 0, 0, 0), hat.hat_tree_children)),
-    "drsub": (False, lambda n, d: fishburn.enumerate_subdiagonal(n, "decreasing-runs"),
-              lambda n, d: ((0, 0), hat.weak_descent_children)),
+    "dasc": (True, lambda n, d: ((d, d, 0, 0), hat.hat_tree_children), tree_words),
+    "modasc": (True, lambda n, d: ((d, d, 0, 0), hat.hat_tree_children), hat._byte_fold),
+    "modinv": (False, lambda n, d: ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children),
+               hat._byte_fold),
+    "wdesc": (False, lambda n, d: ((0, 0), hat.weak_descent_children), tree_words),
+    "fishburn": (True, lambda n, d: ((d, d, 0, 0), hat.hat_tree_children),
+                 fishburn._phi_fold),
+    "irsub": (False, lambda n, d: ((0, 0, 0, 0), hat.hat_tree_children), _HAT_MAX),
+    "drsub": (False, lambda n, d: ((0, 0), hat.weak_descent_children), _HAT_MAX),
 }
 
 
@@ -86,9 +81,12 @@ def enumerate_cost(family: str, n: int, d: int) -> int:
     in FAMILIES, cut short past ENUMERATE_MAX_COST; ValueError if unknown."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    root, children = FAMILIES[family][2](n, d)
+    return _tree_cost(n, *FAMILIES[family][1](n, d))
+
+
+def _tree_cost(n: int, root, rule) -> int:
     # every node has a child, so the sizes only grow with the depth
-    sizes = enumerate(level_sizes(root, children))
+    sizes = enumerate(level_sizes(root, rule))
     return next(size for m, size in sizes if m == n or size > ENUMERATE_MAX_COST)
 
 
@@ -99,17 +97,18 @@ def cmd_enumerate(args, out) -> int:
     one per entry, translated to digits a chunk at a time; comma-separated,
     by a %-format per line, from n = 10 on."""
     _require_nonnegative(n=args.n, d=args.d)
-    takes_d, members, _ = FAMILIES[args.family]
+    takes_d, tree, members = FAMILIES[args.family]
     if takes_d != (args.d is not None):
         need = "required for" if takes_d else "not taken by"
         raise UsageError(f"--d is {need} family {args.family}")
-    cost = enumerate_cost(args.family, args.n, args.d or 0)
+    root, rule = tree(args.n, args.d or 0)
+    cost = _tree_cost(args.n, root, rule)
     if cost > ENUMERATE_MAX_COST:
         raise UsageError(
             f"--n {args.n} too large for family {args.family}: it would examine "
             f"{cost} or more objects, the limit is {ENUMERATE_MAX_COST}"
         )
-    words = members(args.n, args.d or 0)
+    words = members(args.n, root, rule)
     # one write, of text made 4096 words at a time, so that the lines never
     # all exist as separate objects
     starts = range(0, len(words), 4096)
@@ -121,8 +120,9 @@ def cmd_enumerate(args, out) -> int:
             for i in starts
         ]
     else:
+        # tuple(w) is w itself for a tuple leaf
         line = _line_format(args.n).__mod__
-        text = ["".join(map(line, words[i : i + 4096])) for i in starts]
+        text = ["".join(map(line, map(tuple, words[i : i + 4096]))) for i in starts]
     out.write("".join(text))
     return 0
 

@@ -191,6 +191,12 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
     d-ascent.  Only members are visited, at O(n) per child."""
     check_count(d, "d")
     check_count(n, "n")
+    return _phi_fold(n, (d, d, 0, 0), hat_tree_children)
+
+
+def _phi_fold(n: int, root, children) -> list:
+    """phi_d folded along the tree of children from root, a d-ascent
+    sequence tree, as the sorted tuples of its words' images.  Unchecked."""
     if n == 0:
         return [()]
     top = n,  # a leaf's new maximum; it keeps no active values
@@ -206,7 +212,7 @@ def enumerate_d_fishburn(n: int, d: int) -> list:
         g = p.index(act[a - 2]) + 1 if a > 1 else 0
         return p[:g] + (m,) + p[g:], act[: a - 1] + (m,) + act[a - 1 :] if up else act
 
-    return _fold_tree(n, (d, d, 0, 0), hat_tree_children, ((), ()), step, leaf)
+    return _fold_tree(n, root, children, ((), ()), step, leaf)
 
 
 def phi_d_parent(p, d: int):

@@ -114,14 +114,14 @@ def enumerate_d_asc(n: int, d: int) -> list:
 
 def enumerate_mod_d_asc(n: int, d: int) -> list:
     """All modified d-ascent sequences of length n, as a sorted list: the
-    hat_d images of the d-ascent sequences, as the leaves of _hat_tree(n, d, d)
-    made tuples.
+    hat_d images of the d-ascent sequences, the leaves of _byte_fold along
+    the d-ascent sequence tree made tuples.
 
     O(n) per node of the d-ascent sequence tree; neither hat_d nor a
     d-ascent sequence is ever built."""
     check_count(n, "n")
     check_count(d, "d")
-    return _as_tuples(_hat_tree(n, d, d))
+    return _as_tuples(_byte_fold(n, (d, d, 0, 0), hat_tree_children))
 
 
 def enumerate_weak_descent(n: int) -> list:
@@ -131,14 +131,16 @@ def enumerate_weak_descent(n: int) -> list:
 
 def enumerate_modinv(n: int) -> list:
     """All modified inversion sequences of length n, as a sorted list: the
-    union of the hat orbits of the inversion sequences, as the leaves of
-    _hat_tree(n, 0, n - 1) made tuples.
+    union of the hat orbits of the inversion sequences, the leaves of
+    _byte_fold along the hat tree for d in [0, n - 1] made tuples.
 
     Every inversion sequence is an (n-1)-ascent sequence and hat_d is
     constant from d = n - 1 on, so the orbits over d <= n - 1 hold every
-    image.  O(n) per node, with 1.14 nodes per member at n = 8."""
+    image.  Each image is one leaf: two leaves of one word have different
+    d-ascent sets, the nubs of their images.  O(n) per node, with 1.14
+    nodes per member at n = 8."""
     check_count(n, "n")
-    return _as_tuples(_hat_tree(n, 0, max(n - 1, 0)))
+    return _as_tuples(_byte_fold(n, (0, max(n - 1, 0), 0, 0), hat_tree_children))
 
 
 def _as_tuples(leaves: list) -> list:
@@ -149,8 +151,9 @@ def _as_tuples(leaves: list) -> list:
 
 
 def hat_tree_children(state):
-    """The tree of _hat_tree on states (lo, hi, dasc, last letter b), root
-    (lo, hi, 0, 0): a node's word has one d-ascent set, of size dasc, for
+    """The hat tree on states (lo, hi, dasc, last letter b), root
+    (lo, hi, 0, 0), whose last letter 0 makes position 1 a d-ascent for
+    every d >= 0: a node's word has one d-ascent set, of size dasc, for
     every d in [lo, hi], and a child a <= dasc + 1, a d-ascent iff
     d >= b - a + 1, splits the range there.  At lo = hi = d it is the
     d-ascent sequence tree.  _fold_tree folds hat_d, phi_d and hat_max
@@ -197,7 +200,7 @@ def _fold_tree(n: int, root, children, start, step, leaf) -> list:
     return out
 
 
-def _byte_fold(n: int, root, children, every: bool) -> list:
+def _byte_fold(n: int, root, children, every: bool = False) -> list:
     """The words of length n of a tree of inversion sequences with modify
     folded over their positions that ascended, or over all if every, which
     is hat_max, as a sorted list of byte strings bytes(w).  modify at j
@@ -225,10 +228,3 @@ def _byte_fold(n: int, root, children, every: bool) -> list:
 
     return _fold_tree(n, root, children, b"", step, step)
 
-
-def _hat_tree(n: int, lo: int, hi: int) -> list:
-    """The hat_d images of the d-ascent sequences of length n, for every d
-    in [lo, hi], each once, by _byte_fold: two leaves of one word have
-    different d-ascent sets, the nubs of their images."""
-    # the root's last letter 0 makes position 1 a d-ascent for every d >= 0
-    return _byte_fold(n, (lo, hi, 0, 0), hat_tree_children, False)

@@ -93,10 +93,12 @@ def flat_steps(w) -> tuple:
 
 
 def is_cayley(w) -> bool:
-    """True iff the set of values is exactly {1, ..., max w}."""
-    if not w:
-        return True
-    return set(w) == set(range(1, max(w) + 1))
+    """True iff the set of values is exactly {1, ..., max w}; False on a
+    word whose letters max or range refuses, such as (1.5,) or (1, "a")."""
+    try:
+        return not w or set(w) == set(range(1, max(w) + 1))
+    except TypeError:
+        return False
 
 
 def is_inversion(w) -> bool:

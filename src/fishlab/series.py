@@ -64,6 +64,8 @@ def _solve(d: int, q_value, order: int) -> tuple:
     """
     check_count(d, "d")
     check_count(order, "order")
+    if type(q_value) is not int and not isinstance(q_value, Fraction):
+        raise ValueError(f"q must be an integer or a Fraction, got {q_value!r}")
     q = Fraction(q_value)
     s = q.denominator
     # for d >= 1 the marked step contributes U' P (D P)^(d-1), whose image

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fishlab import burge, cli, fixtures, hat, series, verify
+from fishlab import burge, cli, fishburn, fixtures, hat, series, verify
 
 
 def run(argv):
@@ -440,6 +440,29 @@ def test_table_cap_bounds_cost_not_n():
     assert cli.table_cost(500, 5) <= cli.TABLE_MAX_COST < cli.table_cost(501, 5)
     for d_max in range(8):
         assert cli.table_cost(7, d_max) == sum(max(2, d) * 49 for d in range(d_max + 1))
+
+
+# each family's public enumerator, at (n, d)
+PUBLIC_ENUMERATORS = {
+    "dasc": hat.enumerate_d_asc,
+    "modasc": hat.enumerate_mod_d_asc,
+    "modinv": lambda n, d: hat.enumerate_modinv(n),
+    "wdesc": lambda n, d: hat.enumerate_weak_descent(n),
+    "fishburn": fishburn.enumerate_d_fishburn,
+    "irsub": lambda n, d: fishburn.enumerate_subdiagonal(n, "increasing-runs"),
+    "drsub": lambda n, d: fishburn.enumerate_subdiagonal(n, "decreasing-runs"),
+}
+
+
+def test_family_members_from_its_tree_are_its_enumerator():
+    # the members enumerate writes, from the one tree whose leaves
+    # enumerate_cost counts, as tuples against the public enumerator: the
+    # byte leaves of modasc, modinv, irsub and drsub included
+    assert set(PUBLIC_ENUMERATORS) == set(cli.FAMILIES)
+    for family, (_, tree, members) in cli.FAMILIES.items():
+        for n, d in itertools.product(range(8), range(3)):
+            words = list(map(tuple, members(n, *tree(n, d))))
+            assert words == PUBLIC_ENUMERATORS[family](n, d), (family, n, d)
 
 
 def test_enumerate_cost_counts_what_enumerate_examines():

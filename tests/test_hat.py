@@ -336,15 +336,16 @@ def test_level_sizes_match_the_tree_leaves():
         dasc = list(islice(seqs.level_sizes((d, d, 0, 0), hat.hat_tree_children), 9))
         for n in range(9):
             assert dasc[n] == len(hat.enumerate_d_asc(n, d))
-            assert dasc[n] == len(hat._hat_tree(n, d, d))
+            assert dasc[n] == len(hat._byte_fold(n, (d, d, 0, 0), hat.hat_tree_children))
     for n in range(9):
         assert wdesc[n] == sum(1 for _ in hat.enumerate_weak_descent(n))
         hi = max(n - 1, 0)
         modinv = seqs.level_sizes((0, hi, 0, 0), hat.hat_tree_children)
-        assert next(islice(modinv, n, None)) == len(hat._hat_tree(n, 0, hi))
+        assert next(islice(modinv, n, None)) == len(
+            hat._byte_fold(n, (0, hi, 0, 0), hat.hat_tree_children))
 
 
-def test_fold_hat_tree_matches_tree_words():
+def test_fold_tree_matches_tree_words():
     # _fold_tree with a word-building step against the word DFS on
     # both rules it folds along: its child order, and its cache of each
     # state's children, apart from the folds that use it

@@ -136,6 +136,10 @@ ONE_OFF = [
     ("burge_transpose", ((1.0, 2.0), (1, 2)), "rows must be Cayley permutations"),
     ("burget", ((1, 3),), "not a Cayley permutation"),
     ("burget", ((1.0, 2.0),), "not a Cayley permutation"),
+    # q is exact, an int and no bool, or a Fraction: 0.1 would be read at
+    # its binary value, and True or "1/2" only because Fraction parses them
+    *((name, (1, q, 3), f"q must be an integer or a Fraction, got {q!r}")
+      for name in ("solve_P", "series_Q") for q in (0.1, 0.5, True, "1/2", None)),
 ]
 
 
@@ -194,3 +198,10 @@ def test_is_weak_descent_seq_is_false_on_a_letter_that_is_no_int():
     # (1, 1.0) passes the range test at each letter
     for w in NOT_INT_WORDS + [(1, 1.0)]:
         assert not fishlab.is_weak_descent_seq(w), w
+
+
+def test_is_cayley_is_false_on_a_letter_that_max_or_range_refuses():
+    # as the other word predicates are; 1.0 keeps its value, as 1
+    for w in [(1.5,), (1, "a"), ("a",), (1, 1.5), (2.5, 1)]:
+        assert not fishlab.is_cayley(w), w
+    assert fishlab.is_cayley((1.0, 2))

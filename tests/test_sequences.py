@@ -306,7 +306,7 @@ def test_cayley_rule_counts_and_never_dead_ends():
         assert _level(n, (n, 0, ()), seqs.cayley_children) == count
 
 
-def test_rule_levels_are_catalan_and_fishburn():
+def test_rule_levels_are_catalan():
     # the 213-avoiders of [n] and the Dyck paths of semilength n are
     # counted by Catalan(n); the Fishburn numbers count the hat tree's
     # levels at d = 0, in test_level_sizes_match_zagier_identity
