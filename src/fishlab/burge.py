@@ -27,10 +27,11 @@ def burge_transpose(top, bottom):
 def burget(c) -> tuple:
     """Bottom row of the transpose of (identity; c); a permutation of [n],
     the group inverse when c is one.  Defined exactly on the Cayley
-    permutations: any other word raises ValueError.  Checks once that c
-    is Cayley, the only requirement of check_tableau that (identity; c)
-    can fail.  The transpose sorts the columns by (c_i, -i), so its bottom
-    row is n, ..., 1 stably sorted by c_i: O(n log n)."""
-    if not is_cayley(c):
+    permutations, of letters that are ints and no bools: any other word
+    raises ValueError.  Checks that once, which is all of check_tableau
+    that (identity; c) can fail.  The transpose sorts the columns by
+    (c_i, -i), so its bottom row is n, ..., 1 stably sorted by c_i: O(n log n)."""
+    if c and ({*map(type, c)} != {int}
+              or min(values := set(c)) != 1 or max(values) != len(values)):
         raise ValueError(f"not a Cayley permutation: {c}")
     return tuple(sorted(range(len(c), 0, -1), key=lambda i: c[i - 1]))

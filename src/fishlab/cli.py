@@ -1,5 +1,5 @@
-"""Command-line front end: enumeration, verification suites, the count
-table, and exploratory conjecture reports.
+"""Command-line front end: enumeration of the families of hat.FAMILIES,
+verification suites, the count table, and exploratory conjecture reports.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage error.
 Output is deterministic: fixed sort orders, no timestamps in data rows.
@@ -9,10 +9,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
-from . import fishburn, hat, series, verify
-from .sequences import level_sizes, tree_words
+from . import series, verify
+from .hat import FAMILIES
+from .sequences import level_sizes
 
 # bound on enumerate_cost: admits every family at n <= 8 for every d (at
 # most 84057 objects, modinv at n = 8), refuses modinv at n = 9 and every
@@ -57,36 +57,13 @@ def _line_format(n: int) -> str:
 _DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
 
 
-# name: (requires --d, which the others refuse; tree(n, d), the (root,
-# rule) of the one tree whose depth-n leaves enumerate_cost counts and
-# members walks; members(n, root, rule), sorted: the tree's words, or a
-# paper map folded along it, hat_d or hat_max as byte leaves, phi_d as
-# tuples).  The hat tree at lo = hi = d is the d-ascent sequence tree.
-_HAT_MAX = partial(hat._byte_fold, every=True)
-FAMILIES = {
-    "dasc": (True, lambda n, d: ((d, d, 0, 0), hat.hat_tree_children), tree_words),
-    "modasc": (True, lambda n, d: ((d, d, 0, 0), hat.hat_tree_children), hat._byte_fold),
-    "modinv": (False, lambda n, d: ((0, max(n - 1, 0), 0, 0), hat.hat_tree_children),
-               hat._byte_fold),
-    "wdesc": (False, lambda n, d: ((0, 0), hat.weak_descent_children), tree_words),
-    "fishburn": (True, lambda n, d: ((d, d, 0, 0), hat.hat_tree_children),
-                 fishburn._phi_fold),
-    "irsub": (False, lambda n, d: ((0, 0, 0, 0), hat.hat_tree_children), _HAT_MAX),
-    "drsub": (False, lambda n, d: ((0, 0), hat.weak_descent_children), _HAT_MAX),
-}
-
-
 def enumerate_cost(family: str, n: int, d: int) -> int:
     """Objects `enumerate` examines, the depth-n leaves of the family's tree
     in FAMILIES, cut short past ENUMERATE_MAX_COST; ValueError if unknown."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return _tree_cost(n, *FAMILIES[family][1](n, d))
-
-
-def _tree_cost(n: int, root, rule) -> int:
     # every node has a child, so the sizes only grow with the depth
-    sizes = enumerate(level_sizes(root, rule))
+    sizes = enumerate(level_sizes(*FAMILIES[family][1](n, d)))
     return next(size for m, size in sizes if m == n or size > ENUMERATE_MAX_COST)
 
 
@@ -97,18 +74,17 @@ def cmd_enumerate(args, out) -> int:
     one per entry, translated to digits a chunk at a time; comma-separated,
     by a %-format per line, from n = 10 on."""
     _require_nonnegative(n=args.n, d=args.d)
-    takes_d, tree, members = FAMILIES[args.family]
+    takes_d, tree, fold = FAMILIES[args.family]
     if takes_d != (args.d is not None):
         need = "required for" if takes_d else "not taken by"
         raise UsageError(f"--d is {need} family {args.family}")
-    root, rule = tree(args.n, args.d or 0)
-    cost = _tree_cost(args.n, root, rule)
+    cost = enumerate_cost(args.family, args.n, args.d or 0)
     if cost > ENUMERATE_MAX_COST:
         raise UsageError(
             f"--n {args.n} too large for family {args.family}: it would examine "
             f"{cost} or more objects, the limit is {ENUMERATE_MAX_COST}"
         )
-    words = members(args.n, root, rule)
+    words = fold(args.n, *tree(args.n, args.d or 0))
     # one write, of text made 4096 words at a time, so that the lines never
     # all exist as separate objects
     starts = range(0, len(words), 4096)

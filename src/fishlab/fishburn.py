@@ -1,11 +1,10 @@
 """d-active elements, d-Fishburn permutations, the insertion map and
-subdiagonal permutations."""
+subdiagonal permutations; both classes are enumerated from hat.FAMILIES."""
 
 import math
 from itertools import permutations
 
-from .hat import (_as_tuples, _byte_fold, _fold_tree, hat_tree_children,
-                  weak_descent_children)
+from .hat import _members
 from .sequences import check_count, check_perm
 
 SUBDIAGONAL_MODES = ("increasing-runs", "decreasing-runs")
@@ -182,37 +181,12 @@ def phi_d(w, d: int) -> tuple:
 
 
 def enumerate_d_fishburn(n: int, d: int) -> list:
-    """All d-Fishburn permutations of [n], as a sorted list.
-
-    phi_d folded along the d-ascent sequence tree: a node's object is a
-    permutation with phi_d's state, its active values in position order,
-    and a child with letter a inserts the next maximum into site a, the
-    gap after the (a-1)-th active value, and makes it active if a is a
-    d-ascent.  Only members are visited, at O(n) per child."""
+    """All d-Fishburn permutations of [n], as a sorted list: the phi_d
+    images of the d-ascent sequences, folded along their tree, at O(n)
+    per node."""
     check_count(d, "d")
     check_count(n, "n")
-    return _phi_fold(n, (d, d, 0, 0), hat_tree_children)
-
-
-def _phi_fold(n: int, root, children) -> list:
-    """phi_d folded along the tree of children from root, a d-ascent
-    sequence tree, as the sorted tuples of its words' images.  Unchecked."""
-    if n == 0:
-        return [()]
-    top = n,  # a leaf's new maximum; it keeps no active values
-
-    def leaf(node, a, up):
-        p, act = node
-        g = p.index(act[a - 2]) + 1 if a > 1 else 0
-        return p[:g] + top + p[g:]
-
-    def step(node, a, up):
-        p, act = node
-        m = len(p) + 1
-        g = p.index(act[a - 2]) + 1 if a > 1 else 0
-        return p[:g] + (m,) + p[g:], act[: a - 1] + (m,) + act[a - 1 :] if up else act
-
-    return _fold_tree(n, root, children, ((), ()), step, leaf)
+    return _members("fishburn", n, d)
 
 
 def phi_d_parent(p, d: int):
@@ -264,15 +238,12 @@ def _subdiagonal(p, mode):
 def enumerate_subdiagonal(n: int, mode: str) -> list:
     """The permutations of [n] that subdiagonal(p, mode) accepts, as a list
     in lexicographic order: hat_max of the ascent sequences, for increasing
-    runs, or of the weak descent sequences, the theorem that the claims
-    hatmax-ascseq-is-irsub and hatmax-wdesc-is-drsub check against the
-    filter.  _byte_fold folds it along their tree, at O(n) per node."""
+    runs, or of the weak descent sequences, folded along their tree at O(n)
+    per node, which hatmax-ascseq-is-irsub and hatmax-wdesc-is-drsub check."""
     if mode not in SUBDIAGONAL_MODES:
         raise ValueError(f"unknown mode: {mode}")
     check_count(n, "n")
-    if mode == "increasing-runs":
-        return _as_tuples(_byte_fold(n, (0, 0, 0, 0), hat_tree_children, True))
-    return _as_tuples(_byte_fold(n, (0, 0), weak_descent_children, True))
+    return _members("irsub" if mode == "increasing-runs" else "drsub", n)
 
 
 def enumerate_perms(n: int) -> list:

@@ -5,6 +5,9 @@ are read from the input, letter by letter, never from the folded state:
 modify at position j changes only entries left of j, so when the fold
 reaches j the entry there is still the input letter a_j, while the entries
 left of it generally have a different d-ascent set from the input's.
+
+FAMILIES states each enumerated family once, as one generating tree and
+at most one paper map, hat_d, phi_d or hat_max, folded along it.
 """
 
 from .sequences import (check_count, d_asc_thresholds, is_d_ascent_seq,
@@ -109,45 +112,31 @@ def weak_descent_children(state):
 def enumerate_d_asc(n: int, d: int) -> list:
     """All d-ascent sequences of length n, as a list in lexicographic order."""
     check_count(d, "d")
-    return tree_words(n, (d, d, 0, 0), hat_tree_children)
+    return _members("dasc", n, d)
 
 
 def enumerate_mod_d_asc(n: int, d: int) -> list:
     """All modified d-ascent sequences of length n, as a sorted list: the
-    hat_d images of the d-ascent sequences, the leaves of _byte_fold along
-    the d-ascent sequence tree made tuples.
-
-    O(n) per node of the d-ascent sequence tree; neither hat_d nor a
-    d-ascent sequence is ever built."""
+    hat_d images of the d-ascent sequences, folded along their tree, at
+    O(n) per node; neither hat_d nor a d-ascent sequence is ever built."""
     check_count(n, "n")
     check_count(d, "d")
-    return _as_tuples(_byte_fold(n, (d, d, 0, 0), hat_tree_children))
+    return _members("modasc", n, d)
 
 
 def enumerate_weak_descent(n: int) -> list:
     """All weak descent sequences of length n, as a list in lexicographic order."""
-    return tree_words(n, (0, 0), weak_descent_children)
+    return _members("wdesc", n)
 
 
 def enumerate_modinv(n: int) -> list:
     """All modified inversion sequences of length n, as a sorted list: the
-    union of the hat orbits of the inversion sequences, the leaves of
-    _byte_fold along the hat tree for d in [0, n - 1] made tuples.
-
-    Every inversion sequence is an (n-1)-ascent sequence and hat_d is
-    constant from d = n - 1 on, so the orbits over d <= n - 1 hold every
-    image.  Each image is one leaf: two leaves of one word have different
-    d-ascent sets, the nubs of their images.  O(n) per node, with 1.14
-    nodes per member at n = 8."""
+    union of the hat orbits of the inversion sequences, hat_d folded along
+    the hat tree for d in [0, n - 1], as hat_d is constant from d = n - 1
+    on.  Each image is one leaf: two leaves of one word have different
+    d-ascent sets, the nubs of their images.  O(n) per node."""
     check_count(n, "n")
-    return _as_tuples(_byte_fold(n, (0, max(n - 1, 0), 0, 0), hat_tree_children))
-
-
-def _as_tuples(leaves: list) -> list:
-    """The byte strings of leaves made tuples, in place."""
-    for i, h in enumerate(leaves):
-        leaves[i] = tuple(h)  # frees each byte string as its tuple is made
-    return leaves
+    return _members("modinv", n)
 
 
 def hat_tree_children(state):
@@ -156,8 +145,7 @@ def hat_tree_children(state):
     every d >= 0: a node's word has one d-ascent set, of size dasc, for
     every d in [lo, hi], and a child a <= dasc + 1, a d-ascent iff
     d >= b - a + 1, splits the range there.  At lo = hi = d it is the
-    d-ascent sequence tree.  _fold_tree folds hat_d, phi_d and hat_max
-    along it, for the modified sequences, d-Fishburn permutations and irsub."""
+    d-ascent sequence tree."""
     lo, hi, dasc, b = state
     out = []
     for a in range(1, dasc + 2):
@@ -203,13 +191,11 @@ def _fold_tree(n: int, root, children, start, step, leaf) -> list:
 def _byte_fold(n: int, root, children, every: bool = False) -> list:
     """The words of length n of a tree of inversion sequences with modify
     folded over their positions that ascended, or over all if every, which
-    is hat_max, as a sorted list of byte strings bytes(w).  modify at j
-    changes only entries left of j, so a node's object, its fold state, is
-    the image of its prefix: a child lifts the entries >= its letter a, if
-    it lifts at a, then appends a.  One byte per entry, as none passes n: a
-    lift is one bytes.translate, the leaves sort as bytes, and `enumerate`
-    writes them as they are.  O(n) per node.  Unchecked, but for the byte
-    range: n <= 255, far past any n whose members fit in memory."""
+    is hat_max, as sorted byte strings bytes(w).  modify at j changes only
+    entries left of j, so a node's fold state is the image of its prefix: a
+    child lifts the entries >= its letter a, if it lifts at a, by one
+    bytes.translate, then appends a.  O(n) per node.  Unchecked, but for
+    the byte range: n <= 255, past any n whose members fit in memory."""
     if n == 0:
         return [b""]
     if n > 255:
@@ -228,3 +214,67 @@ def _byte_fold(n: int, root, children, every: bool = False) -> list:
 
     return _fold_tree(n, root, children, b"", step, step)
 
+
+def _phi_fold(n: int, root, children) -> list:
+    """phi_d folded along a d-ascent sequence tree, as sorted byte strings.
+    A node's object is phi_d's state as bytes, the permutation and its
+    active values in position order: a child with letter a inserts the next
+    maximum m after the (a-1)-th active value, and makes m active if it
+    ascended, which a leaf skips.  O(n) per node; checked as _byte_fold."""
+    if n == 0:
+        return [b""]
+    if n > 255:
+        raise ValueError(f"n must be at most 255, got {n}")
+    letter = [bytes((a,)) for a in range(n + 1)]
+    top = letter[n]  # a leaf's new maximum
+
+    def leaf(node, a, up):
+        p, act = node
+        g = p.index(act[a - 2]) + 1 if a > 1 else 0
+        return p[:g] + top + p[g:]
+
+    def step(node, a, up):
+        p, act = node
+        m = letter[len(p) + 1]
+        g = p.index(act[a - 2]) + 1 if a > 1 else 0
+        return p[:g] + m + p[g:], act[: a - 1] + m + act[a - 1 :] if up else act
+
+    return _fold_tree(n, root, children, (b"", b""), step, leaf)
+
+
+def _hat_max_fold(n: int, root, children) -> list:
+    return _byte_fold(n, root, children, True)
+
+
+def _d_asc_tree(n: int, d: int):
+    return (d, d, 0, 0), hat_tree_children  # the hat tree at lo = hi = d
+
+
+def _weak_descent_tree(n: int, d: int):
+    return (0, 0), weak_descent_children
+
+
+# The families of `fishlab enumerate` and the public enumerators.  name:
+# (requires --d; tree(n, d), the (root, rule) whose leaves `enumerate`
+# caps the cost of; fold(n, root, rule), sorted: its words as tuples, or
+# hat_d, phi_d or hat_max folded along it as byte leaves)
+FAMILIES = {
+    "dasc": (True, _d_asc_tree, tree_words),
+    "modasc": (True, _d_asc_tree, _byte_fold),
+    "modinv": (False, lambda n, d: ((0, max(n - 1, 0), 0, 0), hat_tree_children), _byte_fold),
+    "wdesc": (False, _weak_descent_tree, tree_words),
+    "fishburn": (True, _d_asc_tree, _phi_fold),
+    "irsub": (False, lambda n, d: _d_asc_tree(n, 0), _hat_max_fold),
+    "drsub": (False, _weak_descent_tree, _hat_max_fold),
+}
+
+
+def _members(family: str, n: int, d: int = 0) -> list:
+    """The members of a family at (n, d), in the order of its fold: byte
+    leaves made tuples, in place, and tuple leaves as they are."""
+    _, tree, fold = FAMILIES[family]
+    leaves = fold(n, *tree(n, d))
+    if fold is not tree_words:
+        for i, h in enumerate(leaves):
+            leaves[i] = tuple(h)  # frees each byte string as its tuple is made
+    return leaves

@@ -122,22 +122,20 @@ def _hat_images(n, d):
         "hat-image-equals-recursive", n, d,
         set(hat.enumerate_mod_d_asc(n, d)), set(images),
     )
-    yield "hat-cayley-nub-max", n, d, True, all(
-        seqs.is_cayley(h)
-        and seqs.nub(h) == dasc
-        and (max(h) if h else 0) == len(dasc)
-        for w, h in zip(words, images)
-        for dasc in (seqs.d_asc_set(w, d),)
-    )
+    # each check is True, or its first counterexample [w, hat_d(w, d)]
+    yield "hat-cayley-nub-max", n, d, True, next((
+        [w, h] for w, h in zip(words, images) for dasc in (seqs.d_asc_set(w, d),)
+        if not (seqs.is_cayley(h) and seqs.nub(h) == dasc and max(h, default=0) == len(dasc))
+    ), True)
     # the last letter lifts the one before it exactly when it is a d-ascent
     # that is not an ascent
-    yield "hat-last-two-letters", n, d, True, all(
-        h[-2:] == (w[-2] + (w[-2] - d < w[-1] <= w[-2]), w[-1])
-        for w, h in zip(words, images) if len(w) >= 2
-    )
-    yield "hat-inv-roundtrip", n, d, True, all(
-        hat.hat_inv(h) == w for w, h in zip(words, images)
-    )
+    yield "hat-last-two-letters", n, d, True, next((
+        [w, h] for w, h in zip(words, images)
+        if len(w) >= 2 and h[-2:] != (w[-2] + (w[-2] - d < w[-1] <= w[-2]), w[-1])
+    ), True)
+    yield "hat-inv-roundtrip", n, d, True, next((
+        [w, h] for w, h in zip(words, images) if hat.hat_inv(h) != w
+    ), True)
 
 
 def _asc_is_nub_children(state):
@@ -187,12 +185,15 @@ def _modasc0_characterization(n, d):
 
 @_claim("orbit", "orbit-disjoint orbit-hatinv-recovers", _each_n(8))
 def _orbits(n, d):
+    # True, or the first counterexample: [image, w', w] or [w, image]
     disjoint, roundtrip = True, True
     seen = {}
     for w in seqs.enumerate_inversion(n):
         for _, image in hat.h_orbit(w):
-            disjoint = disjoint and seen.setdefault(image, w) == w
-            roundtrip = roundtrip and hat.hat_inv(image) == w
+            if disjoint is True and (first := seen.setdefault(image, w)) != w:
+                disjoint = [image, first, w]
+            if roundtrip is True and hat.hat_inv(image) != w:
+                roundtrip = [w, image]
     yield "orbit-disjoint", n, d, True, disjoint
     yield "orbit-hatinv-recovers", n, d, True, roundtrip
 

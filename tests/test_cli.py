@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from fishlab import burge, cli, fishburn, fixtures, hat, series, verify
+from fishlab import sequences as seqs
 
 
 def run(argv):
@@ -267,6 +268,38 @@ def test_phi_claim_names_its_first_counterexample(monkeypatch):
         ("phi-equals-burget-hat", 3, d, [[1, 1, 1], [3, 2, 1], [1, 2, 3]]) for d in (0, 1)]
 
 
+def test_hat_claims_name_their_first_counterexample(monkeypatch):
+    # a seeded fault: hat_d's images of length 3 come out reversed
+    hat_d = hat.hat_d
+    monkeypatch.setattr(hat, "hat_d", lambda w, d: hat_d(w, d)[::-1] if len(w) == 3 else hat_d(w, d))
+    code, text = run(["verify", "--suite", "hat", "--n-max", "4", "--d-max", "1"])
+    assert code == 1
+    rows = [json.loads(line) for line in text.splitlines()]
+    # [w, hat_d(w, d)] for the first word w each boolean check fails on
+    assert [(r["check"], r["n"], r["d"], r["actual"]) for r in rows
+            if not r["pass"] and r["check"] != "hat-image-equals-recursive"] == [
+        ("hat-cayley-nub-max", 3, 0, [[1, 1, 2], [2, 1, 1]]),
+        ("hat-last-two-letters", 3, 0, [[1, 1, 2], [2, 1, 1]]),
+        ("hat-inv-roundtrip", 3, 0, [[1, 1, 2], [2, 1, 1]]),
+        ("hat-last-two-letters", 3, 1, [[1, 1, 1], [1, 2, 3]]),
+        ("hat-inv-roundtrip", 3, 1, [[1, 1, 1], [1, 2, 3]]),
+    ]
+
+
+def test_orbit_claims_name_their_first_counterexample(monkeypatch):
+    # a seeded fault: the orbit of (1, 2) comes out as that of (1, 1)
+    h_orbit = hat.h_orbit
+    monkeypatch.setattr(hat, "h_orbit", lambda w: h_orbit((1, 1) if w == (1, 2) else w))
+    code, text = run(["verify", "--suite", "orbit", "--n-max", "3"])
+    assert code == 1
+    rows = [json.loads(line) for line in text.splitlines()]
+    # the image and both words whose orbits hold it; [w, image] for hat_inv
+    assert [(r["check"], r["n"], r["actual"]) for r in rows if not r["pass"]] == [
+        ("orbit-disjoint", 2, [[1, 1], [1, 1], [1, 2]]),
+        ("orbit-hatinv-recovers", 2, [[1, 2], [1, 1]]),
+    ]
+
+
 def test_failing_set_report_names_a_witness():
     expected = {(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)}
     actual = {(1, 2, 3), (2, 3, 1)}
@@ -454,15 +487,37 @@ PUBLIC_ENUMERATORS = {
 }
 
 
+# the paper map each fold family folds along its tree, at one d of the
+# tree's root range
+FOLDED_MAPS = {
+    "modasc": hat.hat_d,
+    "modinv": hat.hat_d,
+    "fishburn": fishburn.phi_d,
+    "irsub": lambda w, d: hat.hat_max(w),
+    "drsub": lambda w, d: hat.hat_max(w),
+}
+
+
 def test_family_members_from_its_tree_are_its_enumerator():
-    # the members enumerate writes, from the one tree whose leaves
-    # enumerate_cost counts, as tuples against the public enumerator: the
-    # byte leaves of modasc, modinv, irsub and drsub included
+    # each fold family's members against its map, applied to the words of
+    # the same tree by tree_words: at each d of the root's range [lo, hi]
+    # that the word is a d-ascent sequence for, for the hat tree, each
+    # image once, and one image per leaf
     assert set(PUBLIC_ENUMERATORS) == set(cli.FAMILIES)
-    for family, (_, tree, members) in cli.FAMILIES.items():
+    folds = {family for family, (_, _, fold) in cli.FAMILIES.items()
+             if fold is not seqs.tree_words}
+    assert folds == set(FOLDED_MAPS)
+    for family in sorted(folds):
+        _, tree, fold = cli.FAMILIES[family]
         for n, d in itertools.product(range(8), range(3)):
-            words = list(map(tuple, members(n, *tree(n, d))))
-            assert words == PUBLIC_ENUMERATORS[family](n, d), (family, n, d)
+            root, rule = tree(n, d)
+            words = seqs.tree_words(n, root, rule)
+            span = range(root[0], root[1] + 1) if rule is hat.hat_tree_children else [d]
+            images = {FOLDED_MAPS[family](w, e) for w in words for e in span
+                      if rule is not hat.hat_tree_children or seqs.is_d_ascent_seq(w, e)}
+            members = list(map(tuple, fold(n, root, rule)))
+            assert members == sorted(images) and len(members) == len(words), (family, n, d)
+            assert PUBLIC_ENUMERATORS[family](n, d) == members, (family, n, d)
 
 
 def test_enumerate_cost_counts_what_enumerate_examines():

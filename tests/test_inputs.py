@@ -111,6 +111,7 @@ ONE_OFF = [
     # the fold state holds one entry per byte; no such n could finish anyway
     ("enumerate_modinv", (256,), "n must be at most 255"),
     ("enumerate_mod_d_asc", (256, 0), "n must be at most 255"),
+    ("enumerate_d_fishburn", (256, 0), "n must be at most 255"),
     ("d_active_elements", ((3, 1.0, 2), 1), "not a permutation of [3]"),
     ("phi_d_parent", ((), 0), "has no parent"),
     ("phi_d_parent", ((2, 3, 1), 0), "not a 0-Fishburn permutation"),
@@ -136,6 +137,9 @@ ONE_OFF = [
     ("burge_transpose", ((1.0, 2.0), (1, 2)), "rows must be Cayley permutations"),
     ("burget", ((1, 3),), "not a Cayley permutation"),
     ("burget", ((1.0, 2.0),), "not a Cayley permutation"),
+    # a letter is an int, and no bool, though is_cayley reads 1.0 and True as 1
+    *(("burget", (c,), "not a Cayley permutation")
+      for c in ((True, 2), (1.0, 2), (2, 1, True), (1, 1.0))),
     # q is exact, an int and no bool, or a Fraction: 0.1 would be read at
     # its binary value, and True or "1/2" only because Fraction parses them
     *((name, (1, q, 3), f"q must be an integer or a Fraction, got {q!r}")
