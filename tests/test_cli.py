@@ -499,10 +499,9 @@ FOLDED_MAPS = {
 
 
 def test_family_members_from_its_tree_are_its_enumerator():
-    # each fold family's members against its map, applied to the words of
-    # the same tree by tree_words: at each d of the root's range [lo, hi]
-    # that the word is a d-ascent sequence for, for the hat tree, each
-    # image once, and one image per leaf
+    # each fold family's members against its map applied to tree_words of
+    # the same tree, one image per leaf: on the hat tree, at each d of the
+    # root's range [lo, hi] for which the word is a d-ascent sequence
     assert set(PUBLIC_ENUMERATORS) == set(cli.FAMILIES)
     folds = {family for family, (_, _, fold) in cli.FAMILIES.items()
              if fold is not seqs.tree_words}
@@ -512,9 +511,12 @@ def test_family_members_from_its_tree_are_its_enumerator():
         for n, d in itertools.product(range(8), range(3)):
             root, rule = tree(n, d)
             words = seqs.tree_words(n, root, rule)
-            span = range(root[0], root[1] + 1) if rule is hat.hat_tree_children else [d]
-            images = {FOLDED_MAPS[family](w, e) for w in words for e in span
-                      if rule is not hat.hat_tree_children or seqs.is_d_ascent_seq(w, e)}
+            if rule is hat.hat_tree_children:
+                pairs = [(w, e) for w in words for e in range(root[0], root[1] + 1)
+                         if seqs.is_d_ascent_seq(w, e)]
+            else:
+                pairs = [(w, d) for w in words]
+            images = {FOLDED_MAPS[family](w, e) for w, e in pairs}
             members = list(map(tuple, fold(n, root, rule)))
             assert members == sorted(images) and len(members) == len(words), (family, n, d)
             assert PUBLIC_ENUMERATORS[family](n, d) == members, (family, n, d)
