@@ -34,4 +34,4 @@ def burget(c) -> tuple:
     if c and ({*map(type, c)} != {int}
               or min(values := set(c)) != 1 or max(values) != len(values)):
         raise ValueError(f"not a Cayley permutation: {c}")
-    return tuple(sorted(range(len(c), 0, -1), key=lambda i: c[i - 1]))
+    return tuple(sorted(range(len(c), 0, -1), key=(0, *c).__getitem__))

@@ -60,7 +60,7 @@ _DIGIT_LINES = bytes.maketrans(bytes(range(10)), b"\n123456789")
 def enumerate_cost(family: str, n: int, d: int) -> int:
     """Objects `enumerate` examines, the depth-n leaves of the family's tree
     in FAMILIES, cut short past ENUMERATE_MAX_COST; ValueError if unknown."""
-    if family not in FAMILIES:
+    if type(family) is not str or family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     # every node has a child, so the sizes only grow with the depth
     sizes = enumerate(level_sizes(*FAMILIES[family][1](n, d)))

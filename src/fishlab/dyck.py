@@ -90,7 +90,7 @@ def omega_children(label):
 def gen_tree_counts(rule: str, depth: int):
     """The first depth level sizes of the generating tree."""
     trees = {"Omega": ((1, 1), omega_children), "Theta": ((0, 1), weak_descent_children)}
-    if rule not in trees:
+    if type(rule) is not str or rule not in trees:
         raise ValueError(f"unknown rule: {rule}")
     check_count(depth, "depth")
     if depth < 1:

@@ -276,6 +276,8 @@ def _phi(n, d):
         if not fishburn._contains_fishburn_pattern(p, active):
             by_pattern.add(p)
     yield "fishburn-equals-phi-image", n, d, by_membership, set(images)
+    # the two readers disagree on no permutation, by the one-line lemma in
+    # contains_fishburn_pattern's docstring, so this row checks that lemma
     yield "fishburn-equals-pattern-class", n, d, by_membership, by_pattern
 
 

@@ -546,3 +546,6 @@ def test_enumerate_cost_counts_what_enumerate_examines():
     # an unknown family has no tree, rather than the d-ascent one
     with pytest.raises(ValueError):
         cli.enumerate_cost("ascent", 3, 0)
+    # and a family is named by a str: a list is no key of the table
+    with pytest.raises(ValueError, match="unknown family"):
+        cli.enumerate_cost(["dasc"], 3, 0)

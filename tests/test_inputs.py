@@ -122,6 +122,8 @@ ONE_OFF = [
     ("count_ddu_factor", (["D", "D", "U"], 0), "not a path over U and D"),
     ("gen_tree_counts", ("Omega", 0), "depth must be at least 1"),
     ("gen_tree_counts", ("Xi", 3), "unknown rule"),
+    # a rule is named by a str: a list is no key of the rule table
+    ("gen_tree_counts", (["Omega"], 3), "unknown rule"),
     ("tree_iso_map", ((2, 3), "omega-to-theta"), "invalid Omega label"),
     ("tree_iso_map", ((0, 2), "theta-to-omega"), "invalid Theta label"),
     ("tree_iso_map", ((1, 1), "sideways"), "unknown direction"),
